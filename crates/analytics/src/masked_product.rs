@@ -134,7 +134,7 @@ mod tests {
                 };
                 let a = DistMat::from_global_triples(&grid, n, n, feed(1), 1, &mut timer);
                 let b = DistMat::from_global_triples(&grid, n, n, feed(2), 1, &mut timer);
-                let (c_full, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
+                let (c_full, _) = summa::<U64Plus>(&grid, &a, &b, &Exec::new(1), &mut timer);
                 // Mask = every third entry of the full product's local block.
                 let mut mask = MaskSet::default();
                 let mut picked = Vec::new();

@@ -30,15 +30,12 @@
 use crate::snapshot::SessionSnapshot;
 use crate::view::{BatchDelta, PendingBatch, View, ViewCx, ViewId};
 use dspgemm_core::distmat::DistMat;
-use dspgemm_core::dyn_algebraic::apply_shared_algebraic_prebuilt_tracked_exec;
-use dspgemm_core::dyn_general::{
-    apply_shared_general_prebuilt_exec, prepare_general_update, GeneralUpdates,
-};
+use dspgemm_core::dyn_algebraic::{apply_shared_algebraic, PendingStar, TransposeMode};
+use dspgemm_core::dyn_general::{apply_shared_general, prepare_general_update, GeneralUpdates};
 use dspgemm_core::exec::Exec;
 use dspgemm_core::grid::Grid;
 use dspgemm_core::snapshot::{SnapshotMat, SnapshotStore};
-use dspgemm_core::summa::summa_bloom_exec;
-use dspgemm_core::update::{build_update_matrix, Dedup};
+use dspgemm_core::summa::summa_bloom;
 use dspgemm_mpi::Comm;
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::{Index, Triple};
@@ -113,10 +110,13 @@ impl<S: Semiring> AnalyticsSession<S> {
         triples: Vec<Triple<S::Elem>>,
     ) -> Self {
         let grid = Grid::new(comm);
-        let exec = Exec::new(threads);
+        let mut exec = Exec::new(threads);
+        // Update blocks reach their round roots by the physical transpose
+        // exchange: the views consume the natural-layout builds only.
+        exec.transpose = TransposeMode::Physical;
         let mut timer = PhaseTimer::new();
         let a = DistMat::from_global_triples(&grid, n, n, triples, threads, &mut timer);
-        let (c, f, flops) = summa_bloom_exec::<S>(&grid, &a, &a, &exec, &mut timer);
+        let (c, f, flops) = summa_bloom::<S>(&grid, &a, &a, &exec, &mut timer);
         let mut session = Self {
             grid,
             exec,
@@ -279,21 +279,26 @@ impl<S: Semiring> AnalyticsSession<S> {
     pub fn insert_edges(&mut self, tuples: Vec<Triple<S::Elem>>) {
         let _sp =
             dspgemm_obs::span("engine", "apply_algebraic").attr("updates", tuples.len() as u64);
-        let star = build_update_matrix::<S>(
+        let star = PendingStar::start(
             &self.grid,
-            self.a.info().nrows,
-            self.a.info().ncols,
+            self.a.info().layout(),
             tuples,
-            Dedup::Add,
+            &self.exec,
             &mut self.timer,
-        );
+        )
+        .finish(&self.grid, &mut self.timer);
         // Views peek at the old state (registry temporarily detached so the
         // session state can be borrowed immutably alongside it).
         let mut views = std::mem::take(&mut self.views);
         for (_, v) in &mut views {
-            v.pre_batch(&self.cx(), &PendingBatch::Algebraic { star: &star });
+            v.pre_batch(
+                &self.cx(),
+                &PendingBatch::Algebraic {
+                    star: &star.natural,
+                },
+            );
         }
-        let (cstar, flops) = apply_shared_algebraic_prebuilt_tracked_exec::<S>(
+        let (cstar, flops) = apply_shared_algebraic::<S>(
             &self.grid,
             &mut self.a,
             &mut self.c,
@@ -308,7 +313,7 @@ impl<S: Semiring> AnalyticsSession<S> {
             v.post_batch(
                 &self.cx(),
                 &BatchDelta::Algebraic {
-                    star: &star,
+                    star: &star.natural,
                     cstar: &cstar,
                 },
             );
@@ -326,16 +331,16 @@ impl<S: Semiring> AnalyticsSession<S> {
         let _sp = dspgemm_obs::span("engine", "apply_general").attr("updates", upd.len() as u64);
         let prep = prepare_general_update::<S>(
             &self.grid,
-            self.a.info().nrows,
-            self.a.info().ncols,
+            self.a.info().layout(),
             upd,
+            &self.exec,
             &mut self.timer,
         );
         let mut views = std::mem::take(&mut self.views);
         for (_, v) in &mut views {
             v.pre_batch(&self.cx(), &PendingBatch::General { prep: &prep });
         }
-        let (cstar_pattern, flops) = apply_shared_general_prebuilt_exec::<S>(
+        let (cstar_pattern, flops) = apply_shared_general::<S>(
             &self.grid,
             &mut self.a,
             &mut self.c,

@@ -343,13 +343,16 @@ mod tests {
             let mut ours = DistMat::empty(&grid, n, n);
             let upd = dspgemm_core::update::build_update_matrix::<U64Plus>(
                 &grid,
-                n,
-                n,
+                ours.info().layout(),
                 mine,
                 dspgemm_core::update::Dedup::Add,
                 &mut timer,
             );
-            dspgemm_core::update::apply_add::<U64Plus>(&mut ours, &upd, 1);
+            dspgemm_core::update::apply_add::<U64Plus>(
+                &mut ours,
+                &upd,
+                &dspgemm_core::Exec::new(1),
+            );
             (cb.gather_to_root(&grid), ours.gather_to_root(comm))
         });
         let (cb, ours) = &out.results[0];

@@ -16,6 +16,7 @@ use crate::Config;
 use dspgemm_baselines::combblas::{self, CombBlasMatrix};
 use dspgemm_core::dyn_algebraic::apply_algebraic_updates;
 use dspgemm_core::redistribute::redistribute;
+use dspgemm_core::Exec;
 use dspgemm_core::{DistMat, Grid};
 use dspgemm_graph::stream::ReplacementDraws;
 use dspgemm_sparse::bloom::row_or_reduce;
@@ -210,9 +211,10 @@ pub fn aggregation(cfg: &Config) -> Table {
                 &mut a,
                 &mut b,
                 &mut c,
+                None,
                 batch,
                 vec![],
-                threads,
+                &Exec::new(threads),
                 &mut timer,
             );
             c.local_nnz()

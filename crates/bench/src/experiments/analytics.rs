@@ -21,6 +21,7 @@ use dspgemm_core::dyn_general::GeneralUpdates;
 use dspgemm_core::spmv::{spmv, DistVec};
 use dspgemm_core::summa::summa_bloom;
 use dspgemm_core::update::{apply_add, build_update_matrix, Dedup};
+use dspgemm_core::Exec;
 use dspgemm_core::{DistMat, Grid};
 use dspgemm_graph::stream::ReplacementDraws;
 use dspgemm_graph::Edge;
@@ -80,13 +81,14 @@ fn static_step(
 ) -> (u64, u64) {
     let n = a.info().nrows;
     // Apply the updates (same redistribution machinery as the dynamic side).
-    let star = build_update_matrix::<U64Plus>(grid, n, n, inserts, Dedup::Add, timer);
-    apply_add::<U64Plus>(a, &star, threads);
+    let star = build_update_matrix::<U64Plus>(grid, a.info().layout(), inserts, Dedup::Add, timer);
+    apply_add::<U64Plus>(a, &star, &Exec::new(threads));
     let del_tuples: Vec<Triple<u64>> = deletes.iter().map(|&(r, c)| Triple::new(r, c, 0)).collect();
-    let del = build_update_matrix::<U64Plus>(grid, n, n, del_tuples, Dedup::LastWins, timer);
-    dspgemm_core::update::apply_mask::<U64Plus>(a, &del, threads);
+    let del =
+        build_update_matrix::<U64Plus>(grid, a.info().layout(), del_tuples, Dedup::LastWins, timer);
+    dspgemm_core::update::apply_mask::<U64Plus>(a, &del, &Exec::new(threads));
     // Full product recomputation — the cost the dynamic engine avoids.
-    let (c, _f, _) = summa_bloom::<U64Plus>(grid, a, a, threads, timer);
+    let (c, _f, _) = summa_bloom::<U64Plus>(grid, a, a, &Exec::new(threads), timer);
     // Re-derive the three view quantities.
     let mut masked = 0u64;
     a.block().scan_rows(|r, cols, _| {

@@ -15,8 +15,8 @@ use crate::experiments::{edges_to_triples, prepare_instances, rank_slice, Prepar
 use crate::measure::{median, timed_collective};
 use crate::report::{ms, Table};
 use crate::Config;
-use dspgemm_core::dyn_algebraic::apply_algebraic_updates_exec;
-use dspgemm_core::summa::summa_exec;
+use dspgemm_core::dyn_algebraic::apply_algebraic_updates;
+use dspgemm_core::summa::summa;
 use dspgemm_core::{DistMat, Exec, Grid};
 use dspgemm_graph::stream::ReplacementDraws;
 use dspgemm_sparse::semiring::F64Plus;
@@ -72,7 +72,7 @@ pub fn summa_arm(cfg: &Config, inst: &Prepared, schedule: RowSchedule) -> Balanc
         for rep in 0..reps {
             let mut timer = PhaseTimer::new();
             let (c, d) = timed_collective(comm, || {
-                summa_exec::<F64Plus>(&grid, &a, &a, &exec, &mut timer).0
+                summa::<F64Plus>(&grid, &a, &a, &exec, &mut timer).0
             });
             walls.push(d);
             mults.push(timer.get(dspgemm_core::phase::LOCAL_MULT));
@@ -101,7 +101,7 @@ pub fn dynamic_arm(cfg: &Config, inst: &Prepared, schedule: RowSchedule) -> Bala
         let mut a = DistMat::from_global_triples(&grid, n, n, mine.clone(), threads, &mut build_t);
         let mut b = DistMat::from_global_triples(&grid, n, n, mine, threads, &mut build_t);
         let exec = Exec::<F64Plus>::with_schedule(threads, schedule);
-        let (mut c, _) = summa_exec::<F64Plus>(&grid, &a, &b, &exec, &mut build_t);
+        let (mut c, _) = summa::<F64Plus>(&grid, &a, &b, &exec, &mut build_t);
         let mut a_draws = ReplacementDraws::new(BALANCE_BATCH, seed, comm.rank());
         let mut b_draws = ReplacementDraws::new(BALANCE_BATCH, seed ^ 0x9e37, comm.rank());
         let mut timer = PhaseTimer::new();
@@ -118,8 +118,8 @@ pub fn dynamic_arm(cfg: &Config, inst: &Prepared, schedule: RowSchedule) -> Bala
                 .map(|(u, v)| Triple::new(u, v, 1.0))
                 .collect();
             let (_, d) = timed_collective(comm, || {
-                apply_algebraic_updates_exec::<F64Plus>(
-                    &grid, &mut a, &mut b, &mut c, a_batch, b_batch, &exec, &mut timer,
+                apply_algebraic_updates::<F64Plus>(
+                    &grid, &mut a, &mut b, &mut c, None, a_batch, b_batch, &exec, &mut timer,
                 )
             });
             walls.push(d);

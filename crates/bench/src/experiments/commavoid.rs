@@ -93,7 +93,7 @@ pub fn update_arm(
         let a = DistMat::from_global_triples(&grid, n, n, mine.clone(), threads, &mut timer);
         let b = DistMat::from_global_triples(&grid, n, n, mine, threads, &mut timer);
         let mut eng = DynSpGemm::<F64Plus>::new(&grid, a, b, threads, false);
-        eng.transpose_mode = mode;
+        eng.exec.transpose = mode;
         // Draw every batch up front: the stream is deterministic per rank,
         // so all arms see identical updates and the draw cost stays outside
         // the measured region.

@@ -16,6 +16,7 @@ use crate::report::{ms, ratio, Table};
 use crate::Config;
 use dspgemm_core::dyn_algebraic::apply_algebraic_updates;
 use dspgemm_core::summa::summa;
+use dspgemm_core::Exec;
 use dspgemm_core::{DistMat, Grid};
 use dspgemm_graph::stream::ReplacementDraws;
 use dspgemm_sparse::local_mm::{spgemm, MmOutput};
@@ -62,7 +63,7 @@ pub fn update_benchmark(cfg: &Config, inst: &Prepared, p: usize) -> ArmResult {
         let mine = edges_to_triples(&rank_slice(edges, comm.rank(), p));
         let mut a = DistMat::from_global_triples(&grid, n, n, mine.clone(), threads, &mut timer);
         let mut b = DistMat::from_global_triples(&grid, n, n, mine, threads, &mut timer);
-        let (mut c, _) = summa::<F64Plus>(&grid, &a, &b, threads, &mut timer);
+        let (mut c, _) = summa::<F64Plus>(&grid, &a, &b, &Exec::new(threads), &mut timer);
         let mut a_draws = ReplacementDraws::new(COPY_ELIM_BATCH, seed, comm.rank());
         let mut b_draws = ReplacementDraws::new(COPY_ELIM_BATCH, seed ^ 0x9e37, comm.rank());
         let mut times = Vec::new();
@@ -79,7 +80,15 @@ pub fn update_benchmark(cfg: &Config, inst: &Prepared, p: usize) -> ArmResult {
                 .collect();
             let (_, d) = timed_collective(comm, || {
                 apply_algebraic_updates::<F64Plus>(
-                    &grid, &mut a, &mut b, &mut c, a_batch, b_batch, threads, &mut timer,
+                    &grid,
+                    &mut a,
+                    &mut b,
+                    &mut c,
+                    None,
+                    a_batch,
+                    b_batch,
+                    &Exec::new(threads),
+                    &mut timer,
                 )
             });
             times.push(d);
@@ -106,7 +115,7 @@ pub fn summa_benchmark(cfg: &Config, inst: &Prepared, p: usize) -> ArmResult {
         let mine = edges_to_triples(&rank_slice(edges, comm.rank(), p));
         let a = DistMat::from_global_triples(&grid, n, n, mine, threads, &mut timer);
         let (_, d) = timed_collective(comm, || {
-            summa::<F64Plus>(&grid, &a, &a, threads, &mut timer)
+            summa::<F64Plus>(&grid, &a, &a, &Exec::new(threads), &mut timer)
         });
         d
     });

@@ -41,7 +41,6 @@
 use crate::experiments::{edges_to_triples, prepare_instances, rank_slice, Prepared};
 use crate::report::{ms, Table};
 use crate::Config;
-use dspgemm_core::dyn_algebraic::TransposeMode;
 use dspgemm_core::recovery::RecoveryConfig;
 use dspgemm_core::{DistMat, DynSpGemm, Exec, Grid, RecoveryReport};
 use dspgemm_mpi::{run_with_faults, Comm, CommError, FaultPlan};
@@ -176,7 +175,6 @@ pub fn fault_arm(
                     let (e2, r) = DynSpGemm::<F64Plus>::recover_as_replacement(
                         &grid,
                         Exec::new(threads),
-                        TransposeMode::default(),
                         rcfg,
                     );
                     recoveries += 1;

@@ -13,7 +13,9 @@ use crate::experiments::{edges_to_triples, prepare_instances, rank_slice, Prepar
 use crate::measure::{median, timed_collective};
 use crate::report::{ms, ratio, Table};
 use crate::Config;
-use dspgemm_core::summa::{summa, summa_blocking};
+use dspgemm_core::pipeline::Schedule;
+use dspgemm_core::summa::summa;
+use dspgemm_core::Exec;
 use dspgemm_core::{DistMat, DynSpGemm, Grid};
 use dspgemm_graph::stream::ReplacementDraws;
 use dspgemm_sparse::semiring::F64Plus;
@@ -64,6 +66,10 @@ pub fn summa_arm(cfg: &Config, inst: &Prepared, p: usize, pipelined: bool) -> Ov
         let mut timer = PhaseTimer::new();
         let mine = edges_to_triples(&rank_slice(edges, comm.rank(), p));
         let a = DistMat::from_global_triples(&grid, n, n, mine, threads, &mut timer);
+        let mut exec = Exec::new(threads);
+        if !pipelined {
+            exec.rounds = Schedule::Blocking;
+        }
         let mut walls = Vec::new();
         let mut region = None;
         let mut c_gathered = None;
@@ -71,11 +77,7 @@ pub fn summa_arm(cfg: &Config, inst: &Prepared, p: usize, pipelined: bool) -> Ov
             comm.barrier();
             let before = comm.comm_stats();
             let (c, d) = timed_collective(comm, || {
-                if pipelined {
-                    summa::<F64Plus>(&grid, &a, &a, threads, &mut timer).0
-                } else {
-                    summa_blocking::<F64Plus>(&grid, &a, &a, threads, &mut timer).0
-                }
+                summa::<F64Plus>(&grid, &a, &a, &exec, &mut timer).0
             });
             walls.push(d);
             if rep == 0 {

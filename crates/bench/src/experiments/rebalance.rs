@@ -5,8 +5,8 @@
 //! uniform initial matrix (the permuted catalog proxy), then a *clustered,
 //! non-permuted* update stream whose endpoints all land in a hot vertex
 //! window `[0, n/8)`. Under the static uniform cuts that skew piles onto
-//! the top-left corner of the grid; the adaptive arm reads the per-rank
-//! nnz gauges after each epoch publish ([`DynSpGemm::maybe_rebalance`])
+//! the top-left corner of the grid; the adaptive arm gathers the per-rank
+//! nnz loads after each epoch publish ([`DynSpGemm::maybe_rebalance`])
 //! and migrates boundary stripes when max/mean imbalance crosses
 //! `--rebalance-threshold`.
 //!
@@ -30,7 +30,7 @@ use crate::experiments::{edges_to_triples, prepare_instances, rank_slice, Prepar
 use crate::measure::timed_collective;
 use crate::report::{ms, Table};
 use crate::Config;
-use dspgemm_core::rebalance::{imbalance, read_rank_load_gauges};
+use dspgemm_core::rebalance::imbalance;
 use dspgemm_core::{DistMat, DynSpGemm, Grid, RebalanceConfig};
 use dspgemm_sparse::semiring::F64Plus;
 use dspgemm_sparse::Triple;
@@ -117,14 +117,17 @@ pub fn rebalance_arm(cfg: &Config, inst: &Prepared, p: usize, adaptive: bool) ->
                     eng.maybe_rebalance(&grid);
                 } else {
                     // Publish on the same cadence as the adaptive arm so
-                    // the gauges (and snapshot epochs) stay comparable.
+                    // the snapshot epochs stay comparable.
                     eng.snapshot();
                 }
             });
             wall += d;
-            // The closing barrier of `timed_collective` ordered every
-            // rank's publish before this read of the global registry.
-            trajectory.push(imbalance(&read_rank_load_gauges(p)));
+            // The engine's balance signal, gathered over the wire (the
+            // root's trajectory is the one reported).
+            let load = (eng.a.block().nnz() + eng.c.block().nnz()) as u64;
+            if let Some(loads) = comm.gather(0, load) {
+                trajectory.push(imbalance(&loads));
+            }
             per_batch_c.push(eng.c.gather_to_root(comm));
         }
         let flops_mine = eng.flops - flops0;
@@ -271,7 +274,7 @@ pub fn run(cfg: &Config) -> Table {
          imbalance",
     );
     t.note(
-        "nnz imbalance = max/mean of the per-rank `engine.block_nnz.{a,c}` gauges after each \
+        "nnz imbalance = max/mean of the per-rank nnz of A plus C, gathered after each \
          epoch publish; flop imbalance = max/mean of per-rank SpGEMM flops over the whole run",
     );
     t

@@ -32,6 +32,7 @@ use dspgemm_analytics::{
 use dspgemm_core::dyn_general::GeneralUpdates;
 use dspgemm_core::summa::summa_bloom;
 use dspgemm_core::update::{apply_add, apply_mask, build_update_matrix, Dedup};
+use dspgemm_core::Exec;
 use dspgemm_core::{DistMat, Grid};
 use dspgemm_graph::stream::ReplacementDraws;
 use dspgemm_graph::Edge;
@@ -269,21 +270,31 @@ fn serve_instance(cfg: &Config, inst: &Prepared) -> ServeRun {
 
             // Freshness: the post-batch epoch must be bit-identical to a
             // blocking rerun (static recomputation of the updated graph).
-            let star = build_update_matrix::<U64Plus>(&grid, n, n, inserts, Dedup::Add, &mut timer);
-            apply_add::<U64Plus>(&mut a_static, &star, threads);
+            let star = build_update_matrix::<U64Plus>(
+                &grid,
+                a_static.info().layout(),
+                inserts,
+                Dedup::Add,
+                &mut timer,
+            );
+            apply_add::<U64Plus>(&mut a_static, &star, &Exec::new(threads));
             let del_tuples: Vec<Triple<u64>> =
                 deletes.iter().map(|&(u, v)| Triple::new(u, v, 0)).collect();
             let del = build_update_matrix::<U64Plus>(
                 &grid,
-                n,
-                n,
+                a_static.info().layout(),
                 del_tuples,
                 Dedup::LastWins,
                 &mut timer,
             );
-            apply_mask::<U64Plus>(&mut a_static, &del, threads);
-            let (c_rerun, _f, _) =
-                summa_bloom::<U64Plus>(&grid, &a_static, &a_static, threads, &mut timer);
+            apply_mask::<U64Plus>(&mut a_static, &del, &Exec::new(threads));
+            let (c_rerun, _f, _) = summa_bloom::<U64Plus>(
+                &grid,
+                &a_static,
+                &a_static,
+                &Exec::new(threads),
+                &mut timer,
+            );
             let latest = session.pin();
             r.fresh_ok &= latest.product().gather_to_root(comm) == c_rerun.gather_to_root(comm);
 

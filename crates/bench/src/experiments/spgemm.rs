@@ -29,6 +29,7 @@ use dspgemm_baselines::{
 use dspgemm_core::dyn_algebraic::apply_algebraic_updates;
 use dspgemm_core::dyn_general::{apply_general_updates, GeneralUpdates};
 use dspgemm_core::summa::summa_bloom;
+use dspgemm_core::Exec;
 use dspgemm_core::{DistMat, Grid};
 use dspgemm_graph::stream::ReplacementDraws;
 use dspgemm_sparse::semiring::{F64Plus, MinPlus};
@@ -93,9 +94,10 @@ pub fn ours_algebraic(
                     &mut a,
                     &mut b,
                     &mut c,
+                    None,
                     batch.clone(),
                     vec![],
-                    threads,
+                    &Exec::new(threads),
                     &mut timer,
                 )
             });
@@ -286,7 +288,8 @@ pub fn ours_general(cfg: &Config, inst: &Prepared, batch_size: usize, p: usize) 
         let b_mine = edges_to_weighted(&rank_slice(edges, comm.rank(), p));
         let mut b = DistMat::from_global_triples(&grid, n, n, b_mine, threads, &mut timer);
         let mut a: DistMat<f64> = DistMat::empty(&grid, n, n);
-        let (mut c, mut f, _) = summa_bloom::<MinPlus>(&grid, &a, &b, threads, &mut timer);
+        let (mut c, mut f, _) =
+            summa_bloom::<MinPlus>(&grid, &a, &b, &Exec::new(threads), &mut timer);
         let mut draws = ReplacementDraws::new(batch_size, seed, comm.rank());
         let mut costs = Vec::new();
         for round in 0..batches as u64 {
@@ -301,7 +304,7 @@ pub fn ours_general(cfg: &Config, inst: &Prepared, batch_size: usize, p: usize) 
                     &mut f,
                     upd.clone(),
                     GeneralUpdates::new(),
-                    threads,
+                    &Exec::new(threads),
                     &mut timer,
                 )
             });

@@ -7,6 +7,7 @@ use crate::Config;
 use dspgemm_baselines::{combblas::CombBlasMatrix, ctf::CtfMatrix, petsc::PetscMatrix};
 use dspgemm_core::redistribute::phase as rphase;
 use dspgemm_core::update::{apply_mask, apply_merge, build_update_matrix, Dedup};
+use dspgemm_core::Exec;
 use dspgemm_core::{DistMat, Grid};
 use dspgemm_graph::rmat::{generate_local, RmatParams};
 use dspgemm_graph::stream::{split_for_insertion, BatchedPool, ReplacementDraws};
@@ -95,15 +96,14 @@ pub fn ours_mean_batch(
             let (_, d) = timed_collective(comm, || {
                 let upd = build_update_matrix::<F64Plus>(
                     &grid,
-                    n,
-                    n,
+                    mat.info().layout(),
                     batch.clone(),
                     Dedup::LastWins,
                     &mut timer,
                 );
                 timer.time(rphase::LOCAL_ADDITION, || match mode {
-                    Mode::Delete => apply_mask::<F64Plus>(&mut mat, &upd, threads),
-                    _ => apply_merge::<F64Plus>(&mut mat, &upd, threads),
+                    Mode::Delete => apply_mask::<F64Plus>(&mut mat, &upd, &Exec::new(threads)),
+                    _ => apply_merge::<F64Plus>(&mut mat, &upd, &Exec::new(threads)),
                 });
             });
             times.push(d);
@@ -357,13 +357,12 @@ pub fn fig8(cfg: &Config, weak: bool) -> Table {
                         chunk.iter().map(|&(u, v)| Triple::new(u, v, 1.0)).collect();
                     let upd = build_update_matrix::<F64Plus>(
                         &grid,
-                        1 << scale,
-                        1 << scale,
+                        mat.info().layout(),
                         triples,
                         Dedup::LastWins,
                         &mut timer,
                     );
-                    apply_merge::<F64Plus>(&mut mat, &upd, threads);
+                    apply_merge::<F64Plus>(&mut mat, &upd, &Exec::new(threads));
                 }
             });
             d

@@ -25,40 +25,45 @@
 //! Communication volume: `O(max(nnz(A*)+nnz(B*), nnz(C*))/√p)` versus
 //! SUMMA's `O((nnz(A)+nnz(B'))/√p)` — the whole point of the paper.
 //!
+//! Steps 2–3 exist once, as a private round core over an optional `X` side
+//! (the transposed `A*` block and `B'`) and an optional `Y` side (the
+//! transposed `B*` block and `A`). The two-operand product
+//! ([`apply_algebraic_updates`]) runs both sides interleaved in one loop;
+//! the square product `C = A·A` ([`apply_shared_algebraic`]) runs the `Y`
+//! side against the old `A`, applies `A += A*` in place, then the `X` side
+//! against `A'` — one stored matrix serves both Eq.-1 terms.
+//!
 //! **Virtual transposition (Section V-C).** Step 1's point-to-point
 //! exchange exists only to park each update block at its transposed grid
-//! position before the broadcasts. The communication-avoiding variant
-//! ([`TransposeMode::Virtual`], the default) removes that wire round
-//! entirely: the update batch is redistributed *twice* — once in natural
-//! layout (the local `A += A*` application needs it) and once with flipped
-//! tuples and swapped dimensions ([`crate::update::build_update_matrix_pair`]),
-//! so every rank's transposed-layout block already **is** its
-//! transposed-position block, just transposed. A purely local counting-sort
-//! transposition recovers the broadcast payload bit-for-bit
-//! ([`StarView::Transposed`]), the `send/recv` phase carries zero
+//! position before the broadcasts. Under [`TransposeMode::Virtual`] (the
+//! default, read from [`Exec::transpose`]) that wire round disappears: the
+//! update batch is redistributed *twice* — once in natural layout (the
+//! local `A += A*` application needs it) and once with flipped tuples and
+//! swapped dimensions ([`PendingStar::start`]), so every rank's
+//! transposed-layout block already **is** its transposed-position block,
+//! just transposed. A purely local counting-sort transposition recovers the
+//! broadcast payload bit-for-bit, the `send/recv` phase carries zero
 //! point-to-point bytes, and `C` is bit-identical by construction — the
 //! `repro commavoid` ablation asserts both.
 //!
 //! The module is generic over an [`XYKernel`] so the identical communication
-//! structure also serves the Bloom-fused variant (engine sessions that
-//! maintain the filter matrix `F`) and `COMPUTE_PATTERN` of Algorithm 2.
+//! structure also serves the Bloom-fused variant (sessions that maintain the
+//! filter matrix `F`) and `COMPUTE_PATTERN` of Algorithm 2.
 
 use crate::distmat::{DistDcsr, DistMat, Elem};
 use crate::exec::Exec;
 use crate::grid::Grid;
-use crate::layout::uniform_layout;
+use crate::layout::Layout;
 use crate::phase;
-use crate::pipeline::{await_into_phase, run_rounds, Schedule};
-use crate::update::{
-    apply_add_exec, build_update_matrix_in, build_update_matrix_pair_in, start_update_matrix_in,
-    start_update_matrix_pair_in, Dedup, StarPair,
-};
+use crate::pipeline::{await_into_phase, run_rounds};
+use crate::summa::accumulate;
+use crate::update::{apply_add, start_update_matrix, Dedup, PendingUpdateMatrix};
 use dspgemm_mpi::Request;
 use dspgemm_sparse::local_mm::{
     spgemm_bloom_with, spgemm_pattern_with, spgemm_with, KernelPlan, MmOutput,
 };
 use dspgemm_sparse::semiring::Semiring;
-use dspgemm_sparse::{Dcsr, DhbMatrix, Index, RowScan, Triple};
+use dspgemm_sparse::{Dcsr, DhbMatrix, Index, Triple};
 use dspgemm_util::stats::PhaseTimer;
 use std::sync::Arc;
 
@@ -129,7 +134,7 @@ impl<S: Semiring> XYKernel<S> for PlainKernel {
     }
 }
 
-/// Values fused with Bloom bitfields — for engine sessions maintaining `F`.
+/// Values fused with Bloom bitfields — for sessions maintaining `F`.
 #[derive(Debug)]
 pub struct BloomKernel;
 
@@ -198,7 +203,7 @@ impl<S: Semiring> XYKernel<S> for PatternKernel {
 }
 
 /// How Algorithm 1's round roots obtain the transposed-position update
-/// blocks they broadcast.
+/// blocks they broadcast. Selected per session by [`Exec::transpose`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransposeMode {
     /// Physical point-to-point exchange with the transposed peer rank
@@ -214,115 +219,113 @@ pub enum TransposeMode {
 }
 
 /// One update-matrix operand of the `C*` round structure, tagged with its
-/// layout — the `Transposed` operand view of the communication-avoiding
-/// schedulers.
+/// layout.
 #[derive(Debug, Clone, Copy)]
-pub enum StarView<'a, V: Elem> {
+pub(crate) enum StarView<'a, V: Elem> {
     /// `A*` in natural layout (`A*_{i,j}` at rank `(i, j)`): the round
     /// roots' blocks are obtained with the point-to-point transpose
     /// exchange.
     Natural(&'a DistDcsr<V>),
-    /// `(A*)ᵀ` as built by [`crate::update::build_update_matrix_pair`]
-    /// (`(A*_{j,i})ᵀ` at rank `(i, j)`): the round roots' blocks are
-    /// recovered by a local counting-sort transposition — zero wire bytes.
+    /// `(A*)ᵀ` built from flipped tuples (`(A*_{j,i})ᵀ` at rank `(i, j)`):
+    /// the round roots' blocks are recovered by a local counting-sort
+    /// transposition — zero wire bytes.
     Transposed(&'a DistDcsr<V>),
 }
 
 impl<'a, V: Elem> StarView<'a, V> {
-    /// The underlying distributed matrix, whatever its layout.
-    fn dist(&self) -> &'a DistDcsr<V> {
-        match self {
-            StarView::Natural(d) | StarView::Transposed(d) => d,
+    /// The transposed-layout build when present, else the natural one.
+    pub(crate) fn of(natural: &'a DistDcsr<V>, transposed: Option<&'a DistDcsr<V>>) -> Self {
+        match transposed {
+            Some(t) => StarView::Transposed(t),
+            None => StarView::Natural(natural),
         }
     }
 
     /// Local non-zero count (the global sum is layout-independent, so the
     /// collective empty-batch elision agrees across modes).
-    pub fn local_nnz(&self) -> usize {
-        self.dist().local_nnz()
+    fn local_nnz(&self) -> usize {
+        match self {
+            StarView::Natural(d) | StarView::Transposed(d) => d.local_nnz(),
+        }
     }
 }
 
-/// The update-matrix build(s) one operand of a batch needs under a given
-/// [`TransposeMode`] — what [`apply_algebraic_updates_prebuilt_exec`]
-/// consumes and the engine's lookahead queue completes in the background.
-pub enum StarBuild<V: Elem> {
-    /// Natural layout only; rounds resolve via the physical exchange.
-    Physical(DistDcsr<V>),
-    /// Natural + transposed layouts; rounds resolve locally (Section V-C).
-    Virtual(StarPair<V>),
+/// One operand's algebraic update matrix as Algorithm 1 consumes it.
+///
+/// `natural` is the standard `A*` (rank `(i, j)` holds `A*_{i,j}`; the
+/// local `A += A*` application needs this layout). Under
+/// [`TransposeMode::Virtual`], `transposed` is `(A*)ᵀ` built by routing the
+/// *flipped* tuples through the same two-phase redistribution with swapped
+/// dimensions, so rank `(i, j)` holds `(A*_{j,i})ᵀ` — exactly the block it
+/// would have received from its transposed peer, already transposed.
+#[derive(Debug, Clone)]
+pub struct StarBuild<V> {
+    /// The natural-layout update matrix (`A*_{i,j}` at rank `(i, j)`).
+    pub natural: DistDcsr<V>,
+    /// The transposed-layout build (`(A*_{j,i})ᵀ` at rank `(i, j)`);
+    /// `None` ⇒ the round roots use the physical exchange.
+    pub transposed: Option<DistDcsr<V>>,
 }
 
 impl<V: Elem> StarBuild<V> {
-    /// The natural-layout matrix (what `A += A*` applies).
-    pub fn natural(&self) -> &DistDcsr<V> {
-        match self {
-            StarBuild::Physical(d) => d,
-            StarBuild::Virtual(p) => &p.natural,
-        }
-    }
-
-    /// The operand view the round structure consumes.
-    pub fn view(&self) -> StarView<'_, V> {
-        match self {
-            StarBuild::Physical(d) => StarView::Natural(d),
-            StarBuild::Virtual(p) => StarView::Transposed(&p.transposed),
-        }
+    fn view(&self) -> StarView<'_, V> {
+        StarView::of(&self.natural, self.transposed.as_ref())
     }
 }
 
-/// Builds one operand's update matrix (or matrix pair) from
-/// globally-indexed tuples under the given mode, routed by the uniform
-/// layout. Collective over the grid.
-pub fn build_star<S: Semiring>(
-    grid: &Grid,
-    nrows: dspgemm_sparse::Index,
-    ncols: dspgemm_sparse::Index,
-    tuples: Vec<Triple<S::Elem>>,
-    mode: TransposeMode,
-    timer: &mut PhaseTimer,
-) -> StarBuild<S::Elem> {
-    build_star_in::<S>(
-        grid,
-        &uniform_layout(nrows, ncols, grid.q()),
-        tuples,
-        mode,
-        timer,
-    )
+/// A [`StarBuild`] whose first redistribution phase(s) are in flight — the
+/// unit the engine's depth-1 lookahead queues.
+pub struct PendingStar<S: Semiring> {
+    natural: PendingUpdateMatrix<S>,
+    transposed: Option<PendingUpdateMatrix<S>>,
 }
 
-/// [`build_star`] under an explicit [`crate::layout::Layout`] — update
-/// operands must route
-/// under the same (possibly rebalanced) cuts as the matrix they patch.
-/// Collective over the grid.
-pub fn build_star_in<S: Semiring>(
-    grid: &Grid,
-    layout: &Arc<crate::layout::Layout>,
-    tuples: Vec<Triple<S::Elem>>,
-    mode: TransposeMode,
-    timer: &mut PhaseTimer,
-) -> StarBuild<S::Elem> {
-    match mode {
-        TransposeMode::Physical => StarBuild::Physical(build_update_matrix_in::<S>(
-            grid,
-            layout,
-            tuples,
-            Dedup::Add,
-            timer,
-        )),
-        TransposeMode::Virtual => StarBuild::Virtual(build_update_matrix_pair_in::<S>(
-            grid,
-            layout,
-            tuples,
-            Dedup::Add,
-            timer,
-        )),
+impl<S: Semiring> PendingStar<S> {
+    /// Issues the first redistribution phase of one operand's algebraic
+    /// update matrix (summing duplicates) under `layout` — plus, under
+    /// [`TransposeMode::Virtual`] in `exec`, the flipped tuples under
+    /// [`Layout::transposed`]. The `IALLTOALLV`s cross the wire
+    /// concurrently. Collective over the grid.
+    pub fn start(
+        grid: &Grid,
+        layout: &Arc<Layout>,
+        tuples: Vec<Triple<S::Elem>>,
+        exec: &Exec<S>,
+        timer: &mut PhaseTimer,
+    ) -> Self {
+        // Flip (r, c, v) → (c, r, v) *before* routing: the transposed layout
+        // is an ordinary update-matrix build of the flipped entry set.
+        // Stable sorting + dedup then reproduce the exact values of the
+        // natural build (same input order, same fold order), so the two
+        // layouts are exact transposes of each other entry-for-entry.
+        let flipped = (exec.transpose == TransposeMode::Virtual).then(|| {
+            tuples
+                .iter()
+                .map(|t| Triple::new(t.col, t.row, t.val))
+                .collect::<Vec<_>>()
+        });
+        let natural = start_update_matrix::<S>(grid, layout, tuples, Dedup::Add, timer);
+        let transposed = flipped.map(|f| {
+            let t_layout = Arc::new(layout.transposed());
+            start_update_matrix::<S>(grid, &t_layout, f, Dedup::Add, timer)
+        });
+        Self {
+            natural,
+            transposed,
+        }
+    }
+
+    /// Completes the build(s). Collective over the grid.
+    pub fn finish(self, grid: &Grid, timer: &mut PhaseTimer) -> StarBuild<S::Elem> {
+        StarBuild {
+            natural: self.natural.finish(grid, timer),
+            transposed: self.transposed.map(|t| t.finish(grid, timer)),
+        }
     }
 }
 
 /// Resolves up to two [`StarView`] operands into the blocks Algorithm 1's
-/// round roots broadcast (`A*_{j,i}` at rank `(i, j)`). One helper serves
-/// the two-operand and the shared-operand paths:
+/// round roots broadcast (`A*_{j,i}` at rank `(i, j)`):
 ///
 /// * [`StarView::Natural`] items run the physical transpose exchange, both
 ///   directions of every item posted nonblocking (irecvs first, then the
@@ -393,101 +396,52 @@ fn resolve_star_blocks<S: Semiring>(
     out
 }
 
-/// Runs the transpose exchange (or its local virtual replacement), `√p`
-/// broadcast rounds, local multiplications and sparse merge-reductions of
-/// Algorithm 1, returning this rank's block of `C* = A*·B' + A·B*` plus the
-/// local flop count. Collective over the grid.
-///
-/// Inputs obey Eq. 1's timing: `a_old` is `A` *before* its updates, `b_new`
-/// is `B'` *after* its updates. The update operands arrive as [`StarView`]s,
-/// so callers choose per operand whether round roots resolve their blocks
-/// physically (wire exchange) or virtually (local transposition).
-pub fn compute_cstar<S: Semiring, K: XYKernel<S>>(
-    grid: &Grid,
-    a_old: &DistMat<S::Elem>,
-    b_new: &DistMat<S::Elem>,
-    a_star: StarView<'_, S::Elem>,
-    b_star: StarView<'_, S::Elem>,
-    threads: usize,
-    timer: &mut PhaseTimer,
-) -> (Dcsr<K::Out>, u64) {
-    compute_cstar_exec::<S, K>(
-        grid,
-        a_old,
-        b_new,
-        a_star,
-        b_star,
-        &Exec::new(threads),
-        timer,
-    )
-}
+/// One side of the round core: the transposed-position update block this
+/// rank roots (`A*_{j,i}` at rank `(i, j)`) and the resident operand it
+/// multiplies against.
+type Side<'a, V> = (&'a Arc<Dcsr<V>>, &'a DistMat<V>);
 
-/// [`compute_cstar`] under an explicit [`Exec`] (persistent workspace pools
-/// + row schedule).
-pub fn compute_cstar_exec<S: Semiring, K: XYKernel<S>>(
+/// This rank's reduced `(X, Y)` blocks of one round-core call.
+type Reduced<V> = (Option<Dcsr<V>>, Option<Dcsr<V>>);
+
+/// Algorithm 1's steps 2–3 — the one round core. `√p` rounds under
+/// [`Exec::rounds`]: in round `k` the `X` side broadcasts its block over the
+/// process row, multiplies it into its right operand `B'`
+/// (`Xⁱ_{k,j} = A*_{k,i}·B'_{i,j}`) and merge-reduces over column `j` onto
+/// `(k,j)`; the `Y` side broadcasts over the process column, multiplies its
+/// left operand `A` (`Yʲ_{i,k} = A_{i,j}·B*_{j,k}`) and reduces over row `i`
+/// onto `(i,k)`. An absent side issues no collectives. Returns this rank's
+/// reduced `(X, Y)` blocks; flops accumulate into `flops`. Collective over
+/// the grid.
+fn cstar_rounds<S: Semiring, K: XYKernel<S>>(
     grid: &Grid,
-    a_old: &DistMat<S::Elem>,
-    b_new: &DistMat<S::Elem>,
-    a_star: StarView<'_, S::Elem>,
-    b_star: StarView<'_, S::Elem>,
+    x: Option<Side<'_, S::Elem>>,
+    y: Option<Side<'_, S::Elem>>,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
-) -> (Dcsr<K::Out>, u64) {
-    let q = grid.q();
+    flops: &mut u64,
+) -> Reduced<K::Out> {
     let (i, j) = grid.coords();
-    let my_block_rows = a_old.info().local_rows();
-    let my_block_cols = b_new.info().local_cols();
-
-    // Empty-side elision: a globally empty update matrix contributes nothing
-    // to Eq. 1, so its whole pass (transpose resolution, broadcasts,
-    // multiplies, reductions) is skipped. The decision is collective-safe
-    // because it is made from the allreduced global nnz, agreed on all ranks
-    // (and layout-independent: natural and transposed builds hold the same
-    // global entry set). This is the common case in the paper's Fig. 9
-    // protocol, where `B` is static.
-    let (a_star_nnz, b_star_nnz) = {
-        let both = grid.world().allreduce(
-            [a_star.local_nnz() as u64, b_star.local_nnz() as u64],
-            |x, y| [x[0] + y[0], x[1] + y[1]],
-        );
-        (both[0], both[1])
-    };
-
-    // Step 1: round roots obtain their transposed-position blocks — a wire
-    // exchange for natural views, a local transposition for transposed ones.
-    const TAG_AT: u64 = 101;
-    const TAG_BT: u64 = 102;
-    let [at_blk, bt_blk] = resolve_star_blocks::<S>(
-        grid,
-        exec,
-        timer,
-        [
-            (a_star_nnz != 0).then_some((a_star, TAG_AT)),
-            (b_star_nnz != 0).then_some((b_star, TAG_BT)),
-        ],
-    );
-
-    // Step 2 + 3: √p rounds of broadcasts, local multiplies, aggregation —
-    // pipelined: round k+1's update-block broadcasts are in flight while
-    // round k multiplies and merge-reduces (the progress engine forwards
-    // their tree edges even while ranks are blocked inside the reductions).
-    let mut flops = 0u64;
     let mut x_mine: Option<Dcsr<K::Out>> = None;
     let mut y_mine: Option<Dcsr<K::Out>> = None;
     type UpdFlight<V> = (Option<Request<Arc<Dcsr<V>>>>, Option<Request<Arc<Dcsr<V>>>>);
+    // Pipelined under the default schedule: round k+1's update-block
+    // broadcasts are in flight while round k multiplies and merge-reduces
+    // (the progress engine forwards their tree edges even while ranks are
+    // blocked inside the reductions).
     run_rounds(
-        &mut (timer, &mut flops, &mut x_mine, &mut y_mine),
-        q,
-        Schedule::Overlap,
+        &mut (timer, flops, &mut x_mine, &mut y_mine),
+        grid.q(),
+        exec.rounds,
         |_ctx, k| -> UpdFlight<S::Elem> {
             // A*_{k,i} over process row i (its holder after the transpose
             // exchange is (i,k), i.e. row-comm member k); B*_{j,k} over
             // process column j (holder (k,j) = col-comm member k).
-            let ra = at_blk.as_ref().map(|at| {
+            let ra = x.map(|(at, _)| {
                 grid.row_comm()
                     .ibcast_shared(k, if j == k { Some(Arc::clone(at)) } else { None })
             });
-            let rb = bt_blk.as_ref().map(|bt| {
+            let rb = y.map(|(bt, _)| {
                 grid.col_comm()
                     .ibcast_shared(k, if i == k { Some(Arc::clone(bt)) } else { None })
             });
@@ -501,7 +455,7 @@ pub fn compute_cstar_exec<S: Semiring, K: XYKernel<S>>(
         |ctx, k, (a_bcast, b_bcast)| {
             let (timer, flops, x_mine, y_mine) = ctx;
             // X pass: multiply into B', reduce onto (k,j) via column j.
-            if let Some(a_bcast) = a_bcast {
+            if let (Some(a_bcast), Some((_, b_new))) = (a_bcast, x) {
                 let x_part = timer.time(phase::LOCAL_MULT, || {
                     K::mul_x(
                         &a_bcast,
@@ -522,7 +476,7 @@ pub fn compute_cstar_exec<S: Semiring, K: XYKernel<S>>(
                 }
             }
             // Y pass: multiply from A, reduce onto (i,k) via row i.
-            if let Some(b_bcast) = b_bcast {
+            if let (Some(b_bcast), Some((_, a_old))) = (b_bcast, y) {
                 let y_part = timer.time(phase::LOCAL_MULT, || {
                     K::mul_y(
                         a_old.block(),
@@ -544,47 +498,82 @@ pub fn compute_cstar_exec<S: Semiring, K: XYKernel<S>>(
             }
         },
     );
-    let cstar = match (x_mine, y_mine) {
-        (Some(x), Some(y)) => Dcsr::merge_with(&x, &y, K::merge),
+    (x_mine, y_mine)
+}
+
+/// `C* = X + Y` on this rank's `rows × cols` block.
+fn merge_xy<V: Elem>(
+    x: Option<Dcsr<V>>,
+    y: Option<Dcsr<V>>,
+    merge: fn(V, V) -> V,
+    rows: Index,
+    cols: Index,
+) -> Dcsr<V> {
+    match (x, y) {
+        (Some(x), Some(y)) => Dcsr::merge_with(&x, &y, merge),
         (Some(x), None) => x,
         (None, Some(y)) => y,
-        (None, None) => Dcsr::empty(my_block_rows, my_block_cols),
-    };
-    (cstar, flops)
+        (None, None) => Dcsr::empty(rows, cols),
+    }
 }
 
-/// Shared-operand variant of [`compute_cstar`]: this rank's block of
-/// `C* = A*·A' + A·A*` for a maintained *square* product `C = A · A`, where
-/// both Eq.-1 terms draw on the **same** stored matrix. Collective.
-///
-/// The interleaved round structure of [`compute_cstar`] needs the old `A`
-/// (for the `Y` pass) and the new `A'` (for the `X` pass) simultaneously,
-/// which a single stored operand cannot provide. Instead of cloning the
-/// whole matrix, the two passes are sequenced around the update itself:
-///
-/// 1. `√p` `Y` rounds with the *old* `A`: `Yʲ_{i,k} = A_{i,j}·A*_{j,k}`,
-///    reduced over row `i` onto `(i,k)`;
-/// 2. `apply` turns `A` into `A'` in place (purely local);
-/// 3. `√p` `X` rounds with the *new* `A'`: `Xⁱ_{k,j} = A*_{k,i}·A'_{i,j}`,
-///    reduced over column `j` onto `(k,j)`.
-///
-/// One transpose exchange of the single update block replaces Algorithm 1's
-/// two, and the communication volume is halved relative to maintaining a
-/// lock-stepped clone of `A` as the second operand (each update batch is
-/// redistributed, exchanged and broadcast once instead of twice).
-pub fn compute_cstar_shared<S: Semiring, K: XYKernel<S>>(
+/// This rank's block of `C* = A*·B' + A·B*` plus the local flop count, for
+/// two stored operands. Inputs obey Eq. 1's timing: `a_old` is `A`
+/// *before* its updates, `b_new` is `B'` *after* its updates. Collective
+/// over the grid.
+pub(crate) fn compute_cstar<S: Semiring, K: XYKernel<S>>(
     grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    star: StarView<'_, S::Elem>,
-    apply: impl FnOnce(&mut DistMat<S::Elem>),
-    threads: usize,
+    a_old: &DistMat<S::Elem>,
+    b_new: &DistMat<S::Elem>,
+    a_star: StarView<'_, S::Elem>,
+    b_star: StarView<'_, S::Elem>,
+    exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> (Dcsr<K::Out>, u64) {
-    compute_cstar_shared_exec::<S, K>(grid, a, star, apply, &Exec::new(threads), timer)
+    // Empty-side elision: a globally empty update matrix contributes nothing
+    // to Eq. 1, so its whole pass (transpose resolution, broadcasts,
+    // multiplies, reductions) is skipped. The decision is collective-safe
+    // because it is made from the allreduced global nnz, agreed on all ranks
+    // (and layout-independent: natural and transposed builds hold the same
+    // global entry set). This is the common case in the paper's Fig. 9
+    // protocol, where `B` is static.
+    let both = grid.world().allreduce(
+        [a_star.local_nnz() as u64, b_star.local_nnz() as u64],
+        |x, y| [x[0] + y[0], x[1] + y[1]],
+    );
+    // Step 1: round roots obtain their transposed-position blocks — a wire
+    // exchange for natural views, a local transposition for transposed ones.
+    const TAG_AT: u64 = 101;
+    const TAG_BT: u64 = 102;
+    let [at_blk, bt_blk] = resolve_star_blocks::<S>(
+        grid,
+        exec,
+        timer,
+        [
+            (both[0] != 0).then_some((a_star, TAG_AT)),
+            (both[1] != 0).then_some((b_star, TAG_BT)),
+        ],
+    );
+    let mut flops = 0u64;
+    let (x, y) = cstar_rounds::<S, K>(
+        grid,
+        at_blk.as_ref().map(|at| (at, b_new)),
+        bt_blk.as_ref().map(|bt| (bt, a_old)),
+        exec,
+        timer,
+        &mut flops,
+    );
+    let (rows, cols) = (a_old.info().local_rows(), b_new.info().local_cols());
+    (merge_xy(x, y, K::merge, rows, cols), flops)
 }
 
-/// [`compute_cstar_shared`] under an explicit [`Exec`].
-pub fn compute_cstar_shared_exec<S: Semiring, K: XYKernel<S>>(
+/// This rank's block of `C* = A*·A' + A·A*` for a maintained *square*
+/// product `C = A · A`, where both Eq.-1 terms draw on the **same** stored
+/// matrix; `apply` turns `A` into `A'` in place between the round core's
+/// `Y` side (old `A`) and `X` side (new `A'`). One resolution of the single
+/// update block serves both sides, so each batch is redistributed,
+/// exchanged and broadcast once instead of twice. Collective.
+pub(crate) fn compute_cstar_shared<S: Semiring, K: XYKernel<S>>(
     grid: &Grid,
     a: &mut DistMat<S::Elem>,
     star: StarView<'_, S::Elem>,
@@ -597,461 +586,68 @@ pub fn compute_cstar_shared_exec<S: Semiring, K: XYKernel<S>>(
         a.info().ncols,
         "shared-operand dynamic SpGEMM maintains a square product C = A·A"
     );
-    let q = grid.q();
-    let (i, j) = grid.coords();
-    let my_block_rows = a.info().local_rows();
-    let my_block_cols = a.info().local_cols();
-
+    let (rows, cols) = (a.info().local_rows(), a.info().local_cols());
     // Empty-batch elision, agreed collectively (cf. `compute_cstar`).
     let star_nnz = grid
         .world()
         .allreduce(star.local_nnz() as u64, |x, y| x + y);
     if star_nnz == 0 {
         timer.time(phase::LOCAL_UPDATE, || apply(a));
-        return (Dcsr::empty(my_block_rows, my_block_cols), 0);
+        return (Dcsr::empty(rows, cols), 0);
     }
-
-    // One transposed-block resolution serves both passes: rank (i,j)
-    // obtains A*_{j,i} — by wire exchange (natural view) or by local
-    // transposition of its own transposed-layout block (virtual view) — so
-    // in round k the row-comm member k of row i holds A*_{k,i} and the
-    // col-comm member k of column j holds A*_{k,j}, exactly as in
-    // Algorithm 1.
+    // Rank (i,j) obtains A*_{j,i}, so in round k the row-comm member k of
+    // row i holds A*_{k,i} and the col-comm member k of column j holds
+    // A*_{k,j}, exactly as in the two-operand schedule.
     const TAG_SHARED: u64 = 104;
     let [star_t, _] = resolve_star_blocks::<S>(grid, exec, timer, [Some((star, TAG_SHARED)), None]);
-    let star_t: Arc<Dcsr<S::Elem>> = star_t.expect("nonempty operand resolves to a block");
-
+    let star_t = star_t.expect("nonempty operand resolves to a block");
     let mut flops = 0u64;
-
-    // Y pass against the old A — pipelined (round k+1's broadcast of the
-    // transposed update block is in flight while round k multiplies and
-    // reduces).
-    let mut y_mine: Option<Dcsr<K::Out>> = None;
-    {
-        let a_ref = &*a;
-        run_rounds(
-            &mut (&mut *timer, &mut flops, &mut y_mine),
-            q,
-            Schedule::Overlap,
-            |_ctx, k| {
-                grid.col_comm().ibcast_shared(
-                    k,
-                    if i == k {
-                        Some(Arc::clone(&star_t))
-                    } else {
-                        None
-                    },
-                )
-            },
-            |ctx, _k, req| await_into_phase(req, ctx.0, phase::BCAST),
-            |ctx, k, b_bcast| {
-                let (timer, flops, y_mine) = ctx;
-                let y_part = timer.time(phase::LOCAL_MULT, || {
-                    K::mul_y(
-                        a_ref.block(),
-                        &b_bcast,
-                        a_ref.info().col_range.start,
-                        K::plan(exec),
-                    )
-                });
-                timer.add_thread_flops(&y_part.thread_flops);
-                **flops += y_part.flops;
-                let y_red = timer.time(phase::REDUCE_SCATTER, || {
-                    grid.row_comm()
-                        .reduce(k, y_part.result, |x, y| Dcsr::merge_with(&x, &y, K::merge))
-                });
-                if let Some(y) = y_red {
-                    debug_assert_eq!(j, k);
-                    **y_mine = Some(y);
-                }
-            },
-        );
-    }
-
-    // A → A' (purely local).
+    let (_, y) = cstar_rounds::<S, K>(grid, None, Some((&star_t, &*a)), exec, timer, &mut flops);
     timer.time(phase::LOCAL_UPDATE, || apply(a));
-
-    // X pass against the new A' — pipelined likewise.
-    let mut x_mine: Option<Dcsr<K::Out>> = None;
-    {
-        let a_ref = &*a;
-        run_rounds(
-            &mut (&mut *timer, &mut flops, &mut x_mine),
-            q,
-            Schedule::Overlap,
-            |_ctx, k| {
-                grid.row_comm().ibcast_shared(
-                    k,
-                    if j == k {
-                        Some(Arc::clone(&star_t))
-                    } else {
-                        None
-                    },
-                )
-            },
-            |ctx, _k, req| await_into_phase(req, ctx.0, phase::BCAST),
-            |ctx, k, a_bcast| {
-                let (timer, flops, x_mine) = ctx;
-                let x_part = timer.time(phase::LOCAL_MULT, || {
-                    K::mul_x(
-                        &a_bcast,
-                        a_ref.block(),
-                        a_ref.info().row_range.start,
-                        K::plan(exec),
-                    )
-                });
-                timer.add_thread_flops(&x_part.thread_flops);
-                **flops += x_part.flops;
-                let x_red = timer.time(phase::REDUCE_SCATTER, || {
-                    grid.col_comm()
-                        .reduce(k, x_part.result, |x, y| Dcsr::merge_with(&x, &y, K::merge))
-                });
-                if let Some(x) = x_red {
-                    debug_assert_eq!(i, k);
-                    **x_mine = Some(x);
-                }
-            },
-        );
-    }
-
-    let cstar = match (x_mine, y_mine) {
-        (Some(x), Some(y)) => Dcsr::merge_with(&x, &y, K::merge),
-        (Some(x), None) => x,
-        (None, Some(y)) => y,
-        (None, None) => Dcsr::empty(my_block_rows, my_block_cols),
-    };
-    (cstar, flops)
+    let (x, _) = cstar_rounds::<S, K>(grid, Some((&star_t, &*a)), None, exec, timer, &mut flops);
+    (merge_xy(x, y, K::merge, rows, cols), flops)
 }
 
-/// Shared-operand algebraic update from a **pre-built** update matrix:
-/// maintains `C = A · A` through `A' = A + A*` and returns this rank's
-/// `C*` block (the local delta merged into `C`) plus the flop count — the
-/// delta lets callers (the analytics session's views) observe exactly which
-/// product entries changed without a second pass. Collective.
-///
-/// The caller performs the redistribution once
-/// ([`crate::update::build_update_matrix`] with [`Dedup::Add`]) and may feed
-/// the same `A*` to any number of consumers; this is the "one redistribution
-/// pays for all views" contract.
-pub fn apply_shared_algebraic_prebuilt<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    star: &DistDcsr<S::Elem>,
-    threads: usize,
-    timer: &mut PhaseTimer,
-) -> (Dcsr<S::Elem>, u64) {
-    apply_shared_algebraic_prebuilt_exec::<S>(grid, a, c, star, &Exec::new(threads), timer)
-}
-
-/// [`apply_shared_algebraic_prebuilt`] under an explicit [`Exec`] — the
-/// analytics session's entry point, so view refreshes reuse the session's
-/// pooled workspaces.
-pub fn apply_shared_algebraic_prebuilt_exec<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    star: &DistDcsr<S::Elem>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-) -> (Dcsr<S::Elem>, u64) {
-    apply_shared_algebraic_view_exec::<S>(grid, a, c, StarView::Natural(star), star, exec, timer)
-}
-
-/// [`apply_shared_algebraic_prebuilt_exec`] from a prebuilt [`StarPair`]:
-/// the round roots resolve their blocks by local transposition instead of
-/// the wire exchange (Section V-C), and the natural half feeds `A += A*`.
-pub fn apply_shared_algebraic_prebuilt_pair_exec<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    pair: &StarPair<S::Elem>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-) -> (Dcsr<S::Elem>, u64) {
-    apply_shared_algebraic_view_exec::<S>(
-        grid,
-        a,
-        c,
-        StarView::Transposed(&pair.transposed),
-        &pair.natural,
-        exec,
-        timer,
-    )
-}
-
-/// Common body of the shared plain variants: `view` drives the round
-/// structure, `natural` drives the in-place `A += A*`.
-fn apply_shared_algebraic_view_exec<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    view: StarView<'_, S::Elem>,
-    natural: &DistDcsr<S::Elem>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-) -> (Dcsr<S::Elem>, u64) {
-    let (cstar, flops) = compute_cstar_shared_exec::<S, PlainKernel>(
-        grid,
-        a,
-        view,
-        |m| apply_add_exec::<S>(m, natural, exec),
-        exec,
-        timer,
-    );
-    timer.time(phase::LOCAL_UPDATE, || {
-        if cstar.nnz() == 0 {
-            return; // keep the block's snapshot image valid (COW publish)
-        }
-        let block = c.block_mut();
-        cstar.scan_rows(|r, cols, vals| {
-            for (&cc, &v) in cols.iter().zip(vals) {
-                block.add_entry::<S>(r, cc, v);
-            }
-        });
-    });
-    (cstar, flops)
-}
-
-/// Like [`apply_shared_algebraic_prebuilt`], additionally maintaining the
-/// Bloom filter matrix `F` (required when general updates may follow). The
-/// returned `C*` block carries `(value, bitfield)` pairs. Collective.
-pub fn apply_shared_algebraic_prebuilt_tracked<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    f: &mut DistMat<u64>,
-    star: &DistDcsr<S::Elem>,
-    threads: usize,
-    timer: &mut PhaseTimer,
-) -> (Dcsr<(S::Elem, u64)>, u64) {
-    apply_shared_algebraic_prebuilt_tracked_exec::<S>(
-        grid,
-        a,
-        c,
-        f,
-        star,
-        &Exec::new(threads),
-        timer,
-    )
-}
-
-/// [`apply_shared_algebraic_prebuilt_tracked`] under an explicit [`Exec`].
-pub fn apply_shared_algebraic_prebuilt_tracked_exec<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    f: &mut DistMat<u64>,
-    star: &DistDcsr<S::Elem>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-) -> (Dcsr<(S::Elem, u64)>, u64) {
-    apply_shared_algebraic_tracked_view_exec::<S>(
-        grid,
-        a,
-        c,
-        f,
-        StarView::Natural(star),
-        star,
-        exec,
-        timer,
-    )
-}
-
-/// [`apply_shared_algebraic_prebuilt_tracked_exec`] from a prebuilt
-/// [`StarPair`] (virtual transposition, Section V-C).
-#[allow(clippy::too_many_arguments)]
-pub fn apply_shared_algebraic_prebuilt_tracked_pair_exec<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    f: &mut DistMat<u64>,
-    pair: &StarPair<S::Elem>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-) -> (Dcsr<(S::Elem, u64)>, u64) {
-    apply_shared_algebraic_tracked_view_exec::<S>(
-        grid,
-        a,
-        c,
-        f,
-        StarView::Transposed(&pair.transposed),
-        &pair.natural,
-        exec,
-        timer,
-    )
-}
-
-/// Common body of the shared tracked variants (cf.
-/// `apply_shared_algebraic_view_exec`).
-#[allow(clippy::too_many_arguments)]
-fn apply_shared_algebraic_tracked_view_exec<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    f: &mut DistMat<u64>,
-    view: StarView<'_, S::Elem>,
-    natural: &DistDcsr<S::Elem>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-) -> (Dcsr<(S::Elem, u64)>, u64) {
-    let (cstar, flops) = compute_cstar_shared_exec::<S, BloomKernel>(
-        grid,
-        a,
-        view,
-        |m| apply_add_exec::<S>(m, natural, exec),
-        exec,
-        timer,
-    );
-    timer.time(phase::LOCAL_UPDATE, || {
-        if cstar.nnz() == 0 {
-            return; // keep the blocks' snapshot images valid (COW publish)
-        }
-        let c_block = c.block_mut();
-        let f_block = f.block_mut();
-        cstar.scan_rows(|r, cols, vals| {
-            for (&cc, &(v, bits)) in cols.iter().zip(vals) {
-                c_block.add_entry::<S>(r, cc, v);
-                f_block.combine_entry(r, cc, bits, |x, y| x | y);
-            }
-        });
-    });
-    (cstar, flops)
-}
-
-/// Full algebraic-update step on an `(A, B, C)` triple: builds the update
-/// matrices from globally-indexed tuples, applies them, and patches `C` via
-/// Algorithm 1. Returns the local flop count. Collective over the grid.
+/// Algebraic-update step on an `(A, B, C)` triple: builds both operands'
+/// update matrices from globally-indexed tuples under [`phase::SCATTER`]
+/// (both row-phase `IALLTOALLV`s issued before either completes, under
+/// [`Exec::transpose`]) and applies them with
+/// [`apply_algebraic_updates_prebuilt`]. `f` selects Bloom tracking: pass
+/// the session's filter matrix `F` when general updates may follow.
+/// Returns the local flop count. Collective over the grid.
 #[allow(clippy::too_many_arguments)]
 pub fn apply_algebraic_updates<S: Semiring>(
     grid: &Grid,
     a: &mut DistMat<S::Elem>,
     b: &mut DistMat<S::Elem>,
     c: &mut DistMat<S::Elem>,
-    a_tuples: Vec<Triple<S::Elem>>,
-    b_tuples: Vec<Triple<S::Elem>>,
-    threads: usize,
-    timer: &mut PhaseTimer,
-) -> u64 {
-    apply_algebraic_updates_exec::<S>(
-        grid,
-        a,
-        b,
-        c,
-        a_tuples,
-        b_tuples,
-        &Exec::new(threads),
-        timer,
-    )
-}
-
-/// [`apply_algebraic_updates`] under an explicit [`Exec`] — the engine's
-/// entry point, so consecutive update batches reuse the session pools.
-/// Defaults to [`TransposeMode::Virtual`] (Section V-C); `C` is
-/// bit-identical across modes.
-#[allow(clippy::too_many_arguments)]
-pub fn apply_algebraic_updates_exec<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    b: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
+    f: Option<&mut DistMat<u64>>,
     a_tuples: Vec<Triple<S::Elem>>,
     b_tuples: Vec<Triple<S::Elem>>,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> u64 {
-    apply_algebraic_updates_mode_exec::<S>(
-        grid,
-        a,
-        b,
-        c,
-        a_tuples,
-        b_tuples,
-        TransposeMode::default(),
-        exec,
-        timer,
-    )
-}
-
-/// [`apply_algebraic_updates_exec`] under an explicit [`TransposeMode`] —
-/// the `repro commavoid` ablation switch.
-#[allow(clippy::too_many_arguments)]
-pub fn apply_algebraic_updates_mode_exec<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    b: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    a_tuples: Vec<Triple<S::Elem>>,
-    b_tuples: Vec<Triple<S::Elem>>,
-    mode: TransposeMode,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-) -> u64 {
-    let (a_star, b_star) = build_star_operands::<S>(grid, a, b, a_tuples, b_tuples, mode, timer);
-    apply_algebraic_updates_prebuilt_exec::<S>(grid, a, b, c, &a_star, &b_star, exec, timer)
-}
-
-/// Builds both operands' update matrices under [`phase::SCATTER`], issuing
-/// both row-phase `IALLTOALLV`s before completing either so the
-/// redistributions cross the wire concurrently. Collective.
-fn build_star_operands<S: Semiring>(
-    grid: &Grid,
-    a: &DistMat<S::Elem>,
-    b: &DistMat<S::Elem>,
-    a_tuples: Vec<Triple<S::Elem>>,
-    b_tuples: Vec<Triple<S::Elem>>,
-    mode: TransposeMode,
-    timer: &mut PhaseTimer,
-) -> (StarBuild<S::Elem>, StarBuild<S::Elem>) {
-    let a_layout = Arc::clone(a.info().layout());
-    let b_layout = Arc::clone(b.info().layout());
-    timer.time(phase::SCATTER, || {
+    let (a_star, b_star) = timer.time(phase::SCATTER, || {
         let mut inner = PhaseTimer::new();
-        match mode {
-            TransposeMode::Physical => {
-                let pa =
-                    start_update_matrix_in::<S>(grid, &a_layout, a_tuples, Dedup::Add, &mut inner);
-                let pb =
-                    start_update_matrix_in::<S>(grid, &b_layout, b_tuples, Dedup::Add, &mut inner);
-                (
-                    StarBuild::Physical(pa.finish(grid, &mut inner)),
-                    StarBuild::Physical(pb.finish(grid, &mut inner)),
-                )
-            }
-            TransposeMode::Virtual => {
-                let pa = start_update_matrix_pair_in::<S>(
-                    grid,
-                    &a_layout,
-                    a_tuples,
-                    Dedup::Add,
-                    &mut inner,
-                );
-                let pb = start_update_matrix_pair_in::<S>(
-                    grid,
-                    &b_layout,
-                    b_tuples,
-                    Dedup::Add,
-                    &mut inner,
-                );
-                (
-                    StarBuild::Virtual(pa.finish(grid, &mut inner)),
-                    StarBuild::Virtual(pb.finish(grid, &mut inner)),
-                )
-            }
-        }
-    })
+        let pa = PendingStar::start(grid, a.info().layout(), a_tuples, exec, &mut inner);
+        let pb = PendingStar::start(grid, b.info().layout(), b_tuples, exec, &mut inner);
+        (pa.finish(grid, &mut inner), pb.finish(grid, &mut inner))
+    });
+    apply_algebraic_updates_prebuilt(grid, a, b, c, f, &a_star, &b_star, exec, timer)
 }
 
 /// Algebraic-update step from **pre-built** update operands: applies
-/// `B += B*`, runs Algorithm 1's rounds, applies `A += A*` and patches `C`.
-/// The engine's inter-batch lookahead completes builds in the background
-/// and drains them through this entry point. Collective.
+/// `B += B*`, runs Algorithm 1's rounds, applies `A += A*` and patches `C`
+/// (and `F` when given). The engine's inter-batch lookahead completes
+/// builds in the background and drains them through this entry point.
+/// Collective.
 #[allow(clippy::too_many_arguments)]
-pub fn apply_algebraic_updates_prebuilt_exec<S: Semiring>(
+pub fn apply_algebraic_updates_prebuilt<S: Semiring>(
     grid: &Grid,
     a: &mut DistMat<S::Elem>,
     b: &mut DistMat<S::Elem>,
     c: &mut DistMat<S::Elem>,
+    f: Option<&mut DistMat<u64>>,
     a_star: &StarBuild<S::Elem>,
     b_star: &StarBuild<S::Elem>,
     exec: &Exec<S>,
@@ -1060,136 +656,62 @@ pub fn apply_algebraic_updates_prebuilt_exec<S: Semiring>(
     // Eq. 1 ordering: B must be B' during the multiplication, A must still
     // be the old A.
     timer.time(phase::LOCAL_UPDATE, || {
-        apply_add_exec::<S>(b, b_star.natural(), exec);
+        apply_add::<S>(b, &b_star.natural, exec);
     });
-    let (cstar, flops) =
-        compute_cstar_exec::<S, PlainKernel>(grid, a, b, a_star.view(), b_star.view(), exec, timer);
-    timer.time(phase::LOCAL_UPDATE, || {
-        apply_add_exec::<S>(a, a_star.natural(), exec);
-        if cstar.nnz() == 0 {
-            return; // keep the block's snapshot image valid (COW publish)
+    let (a_view, b_view) = (a_star.view(), b_star.view());
+    match f {
+        Some(f) => {
+            let (cstar, flops) =
+                compute_cstar::<S, BloomKernel>(grid, a, b, a_view, b_view, exec, timer);
+            timer.time(phase::LOCAL_UPDATE, || {
+                apply_add::<S>(a, &a_star.natural, exec);
+                accumulate::<S, _>(&cstar, c, Some(f), |x| x);
+            });
+            flops
         }
-        let block = c.block_mut();
-        cstar.scan_rows(|r, cols, vals| {
-            for (&cc, &v) in cols.iter().zip(vals) {
-                block.add_entry::<S>(r, cc, v);
-            }
-        });
-    });
-    flops
+        None => {
+            let (cstar, flops) =
+                compute_cstar::<S, PlainKernel>(grid, a, b, a_view, b_view, exec, timer);
+            timer.time(phase::LOCAL_UPDATE, || {
+                apply_add::<S>(a, &a_star.natural, exec);
+                accumulate::<S, _>(&cstar, c, None, |v| (v, 0));
+            });
+            flops
+        }
+    }
 }
 
-/// Algebraic-update step that also maintains the Bloom filter matrix `F`
-/// (required when general updates may follow). Identical communication
-/// structure; partial blocks carry `(value, bitfield)` pairs.
-#[allow(clippy::too_many_arguments)]
-pub fn apply_algebraic_updates_tracked<S: Semiring>(
+/// Shared-operand algebraic update from a **pre-built** update matrix:
+/// maintains `C = A · A` and its filter matrix `F` through `A' = A + A*`
+/// and returns this rank's `C*` block of `(value, bitfield)` pairs (the
+/// local delta merged into `C`) plus the flop count — the delta lets
+/// callers (the analytics session's views) observe exactly which product
+/// entries changed without a second pass. Collective.
+///
+/// The caller performs the redistribution once ([`PendingStar`]) and may
+/// feed the same `A*` to any number of consumers; this is the "one
+/// redistribution pays for all views" contract.
+pub fn apply_shared_algebraic<S: Semiring>(
     grid: &Grid,
     a: &mut DistMat<S::Elem>,
-    b: &mut DistMat<S::Elem>,
     c: &mut DistMat<S::Elem>,
     f: &mut DistMat<u64>,
-    a_tuples: Vec<Triple<S::Elem>>,
-    b_tuples: Vec<Triple<S::Elem>>,
-    threads: usize,
-    timer: &mut PhaseTimer,
-) -> u64 {
-    apply_algebraic_updates_tracked_exec::<S>(
-        grid,
-        a,
-        b,
-        c,
-        f,
-        a_tuples,
-        b_tuples,
-        &Exec::new(threads),
-        timer,
-    )
-}
-
-/// [`apply_algebraic_updates_tracked`] under an explicit [`Exec`]. Defaults
-/// to [`TransposeMode::Virtual`] (Section V-C).
-#[allow(clippy::too_many_arguments)]
-pub fn apply_algebraic_updates_tracked_exec<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    b: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    f: &mut DistMat<u64>,
-    a_tuples: Vec<Triple<S::Elem>>,
-    b_tuples: Vec<Triple<S::Elem>>,
+    star: &StarBuild<S::Elem>,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
-) -> u64 {
-    apply_algebraic_updates_tracked_mode_exec::<S>(
+) -> (Dcsr<(S::Elem, u64)>, u64) {
+    let (cstar, flops) = compute_cstar_shared::<S, BloomKernel>(
         grid,
         a,
-        b,
-        c,
-        f,
-        a_tuples,
-        b_tuples,
-        TransposeMode::default(),
+        star.view(),
+        |m| apply_add::<S>(m, &star.natural, exec),
         exec,
         timer,
-    )
-}
-
-/// [`apply_algebraic_updates_tracked_exec`] under an explicit
-/// [`TransposeMode`].
-#[allow(clippy::too_many_arguments)]
-pub fn apply_algebraic_updates_tracked_mode_exec<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    b: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    f: &mut DistMat<u64>,
-    a_tuples: Vec<Triple<S::Elem>>,
-    b_tuples: Vec<Triple<S::Elem>>,
-    mode: TransposeMode,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-) -> u64 {
-    let (a_star, b_star) = build_star_operands::<S>(grid, a, b, a_tuples, b_tuples, mode, timer);
-    apply_algebraic_updates_tracked_prebuilt_exec::<S>(
-        grid, a, b, c, f, &a_star, &b_star, exec, timer,
-    )
-}
-
-/// Tracked analog of [`apply_algebraic_updates_prebuilt_exec`]: also
-/// maintains the Bloom filter matrix `F`. Collective.
-#[allow(clippy::too_many_arguments)]
-pub fn apply_algebraic_updates_tracked_prebuilt_exec<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    b: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    f: &mut DistMat<u64>,
-    a_star: &StarBuild<S::Elem>,
-    b_star: &StarBuild<S::Elem>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-) -> u64 {
+    );
     timer.time(phase::LOCAL_UPDATE, || {
-        apply_add_exec::<S>(b, b_star.natural(), exec);
+        accumulate::<S, _>(&cstar, c, Some(f), |x| x)
     });
-    let (cstar, flops) =
-        compute_cstar_exec::<S, BloomKernel>(grid, a, b, a_star.view(), b_star.view(), exec, timer);
-    timer.time(phase::LOCAL_UPDATE, || {
-        apply_add_exec::<S>(a, a_star.natural(), exec);
-        if cstar.nnz() == 0 {
-            return; // keep the blocks' snapshot images valid (COW publish)
-        }
-        let c_block = c.block_mut();
-        let f_block = f.block_mut();
-        cstar.scan_rows(|r, cols, vals| {
-            for (&cc, &(v, bits)) in cols.iter().zip(vals) {
-                c_block.add_entry::<S>(r, cc, v);
-                f_block.combine_entry(r, cc, bits, |x, y| x | y);
-            }
-        });
-    });
-    flops
+    (cstar, flops)
 }
 
 #[cfg(test)]
@@ -1230,17 +752,25 @@ mod tests {
             };
             let mut a = DistMat::from_global_triples(&grid, n, n, feed(1, 80), 2, &mut timer);
             let mut b = DistMat::from_global_triples(&grid, n, n, feed(2, 80), 2, &mut timer);
-            let (mut c, _) = summa::<U64Plus>(&grid, &a, &b, 2, &mut timer);
+            let (mut c, _) = summa::<U64Plus>(&grid, &a, &b, &Exec::new(2), &mut timer);
             for round in 0..batches as u64 {
                 // Every rank contributes its own update tuples.
                 let a_ups = random_triples(100 + round * 7 + comm.rank() as u64, n, 15);
                 let b_ups = random_triples(500 + round * 7 + comm.rank() as u64, n, 15);
                 apply_algebraic_updates::<U64Plus>(
-                    &grid, &mut a, &mut b, &mut c, a_ups, b_ups, 2, &mut timer,
+                    &grid,
+                    &mut a,
+                    &mut b,
+                    &mut c,
+                    None,
+                    a_ups,
+                    b_ups,
+                    &Exec::new(2),
+                    &mut timer,
                 );
             }
             // Static recomputation from the final A', B'.
-            let (c_static, _) = summa::<U64Plus>(&grid, &a, &b, 2, &mut timer);
+            let (c_static, _) = summa::<U64Plus>(&grid, &a, &b, &Exec::new(2), &mut timer);
             (
                 c.gather_to_root(comm),
                 c_static.gather_to_root(comm),
@@ -1293,25 +823,33 @@ mod tests {
             let mut a = DistMat::from_global_triples(&grid, n, n, feed(11), 1, &mut timer);
             let mut b = DistMat::from_global_triples(&grid, n, n, feed(12), 1, &mut timer);
             let (mut c, mut f, _) =
-                crate::summa::summa_bloom::<U64Plus>(&grid, &a, &b, 1, &mut timer);
+                crate::summa::summa_bloom::<U64Plus>(&grid, &a, &b, &Exec::new(1), &mut timer);
             let mut a2 = a.clone();
             let mut b2 = b.clone();
             let mut c2 = c.clone();
             let a_ups = random_triples(31 + comm.rank() as u64, n, 10);
             let b_ups = random_triples(41 + comm.rank() as u64, n, 10);
-            apply_algebraic_updates_tracked::<U64Plus>(
+            apply_algebraic_updates::<U64Plus>(
                 &grid,
                 &mut a,
                 &mut b,
                 &mut c,
-                &mut f,
+                Some(&mut f),
                 a_ups.clone(),
                 b_ups.clone(),
-                1,
+                &Exec::new(1),
                 &mut timer,
             );
             apply_algebraic_updates::<U64Plus>(
-                &grid, &mut a2, &mut b2, &mut c2, a_ups, b_ups, 1, &mut timer,
+                &grid,
+                &mut a2,
+                &mut b2,
+                &mut c2,
+                None,
+                a_ups,
+                b_ups,
+                &Exec::new(1),
+                &mut timer,
             );
             // C identical either way; F covers C's pattern.
             let ct = c.to_global_triples();
@@ -1337,16 +875,17 @@ mod tests {
             };
             let mut a = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
             let mut b = a.clone();
-            let (mut c, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
+            let (mut c, _) = summa::<U64Plus>(&grid, &a, &b, &Exec::new(1), &mut timer);
             let before = c.gather_to_root(comm);
             apply_algebraic_updates::<U64Plus>(
                 &grid,
                 &mut a,
                 &mut b,
                 &mut c,
+                None,
                 vec![],
                 vec![],
-                1,
+                &Exec::new(1),
                 &mut timer,
             );
             before == c.gather_to_root(comm)
@@ -1371,20 +910,23 @@ mod tests {
                 let mut a = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
                 let mut a2 = a.clone();
                 let mut b2 = a.clone();
-                let (mut c, _) = summa::<U64Plus>(&grid, &a, &a, 1, &mut timer);
+                let mut exec = Exec::new(1);
+                exec.transpose = TransposeMode::Physical;
+                let (mut c, mut f, _) =
+                    crate::summa::summa_bloom::<U64Plus>(&grid, &a, &a, &exec, &mut timer);
                 let mut c2 = c.clone();
                 for round in 0..3u64 {
                     let ups = random_triples(40 + round + comm.rank() as u64, n, 9);
-                    let star = crate::update::build_update_matrix::<U64Plus>(
+                    let star = PendingStar::start(
                         &grid,
-                        n,
-                        n,
+                        a.info().layout(),
                         ups.clone(),
-                        crate::update::Dedup::Add,
+                        &exec,
                         &mut timer,
-                    );
-                    let (cstar, flops) = apply_shared_algebraic_prebuilt::<U64Plus>(
-                        &grid, &mut a, &mut c, &star, 1, &mut timer,
+                    )
+                    .finish(&grid, &mut timer);
+                    let (cstar, flops) = apply_shared_algebraic::<U64Plus>(
+                        &grid, &mut a, &mut c, &mut f, &star, &exec, &mut timer,
                     );
                     assert!(cstar.nnz() == 0 || flops > 0);
                     apply_algebraic_updates::<U64Plus>(
@@ -1392,9 +934,10 @@ mod tests {
                         &mut a2,
                         &mut b2,
                         &mut c2,
+                        None,
                         ups.clone(),
                         ups,
-                        1,
+                        &Exec::new(1),
                         &mut timer,
                     );
                 }
@@ -1411,11 +954,37 @@ mod tests {
     }
 
     /// The tracked shared path maintains C identically and fills F over C's
-    /// pattern.
+    /// pattern under both transposition modes — bit-identical C and F, and
+    /// no point-to-point bytes at all under virtual transposition.
     #[test]
     fn shared_tracked_maintains_filter() {
         let n: Index = 18;
-        let out = run(4, move |comm| {
+        let runs: Vec<_> = [TransposeMode::Physical, TransposeMode::Virtual]
+            .into_iter()
+            .map(|mode| shared_tracked_run(n, mode))
+            .collect();
+        for out in &runs {
+            assert!(out.results.iter().all(|(_, _, eq, cov)| *eq && *cov));
+        }
+        assert_eq!(runs[0].results, runs[1].results, "modes disagree on C or F");
+        let p2p = |i: usize| runs[i].stats.bytes_in(dspgemm_mpi::CommCategory::P2p);
+        assert_eq!(p2p(1), 0, "virtual transposition paid a transpose exchange");
+        assert!(p2p(0) > 0, "physical transposition sent no exchange bytes");
+    }
+
+    /// One shared tracked batch on `C = A·A` under `mode`: gathered `C` and
+    /// `F`, whether `C` equals a static recompute, whether `F` covers `C`.
+    #[allow(clippy::type_complexity)]
+    fn shared_tracked_run(
+        n: Index,
+        mode: TransposeMode,
+    ) -> dspgemm_mpi::SimOutput<(
+        Option<Vec<Triple<u64>>>,
+        Option<Vec<Triple<u64>>>,
+        bool,
+        bool,
+    )> {
+        run(4, move |comm| {
             let grid = Grid::new(comm);
             let mut timer = PhaseTimer::new();
             let t = if comm.rank() == 0 {
@@ -1424,22 +993,18 @@ mod tests {
                 vec![]
             };
             let mut a = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
+            let mut exec = Exec::new(1);
+            exec.transpose = mode;
             let (mut c, mut f, _) =
-                crate::summa::summa_bloom::<U64Plus>(&grid, &a, &a, 1, &mut timer);
+                crate::summa::summa_bloom::<U64Plus>(&grid, &a, &a, &exec, &mut timer);
             let ups = random_triples(61 + comm.rank() as u64, n, 12);
-            let star = crate::update::build_update_matrix::<U64Plus>(
-                &grid,
-                n,
-                n,
-                ups,
-                crate::update::Dedup::Add,
-                &mut timer,
-            );
-            apply_shared_algebraic_prebuilt_tracked::<U64Plus>(
-                &grid, &mut a, &mut c, &mut f, &star, 1, &mut timer,
+            let star = PendingStar::start(&grid, a.info().layout(), ups, &exec, &mut timer)
+                .finish(&grid, &mut timer);
+            apply_shared_algebraic::<U64Plus>(
+                &grid, &mut a, &mut c, &mut f, &star, &exec, &mut timer,
             );
             // Invariant C = A·A against static recomputation; F covers C.
-            let (c_static, _) = summa::<U64Plus>(&grid, &a, &a, 1, &mut timer);
+            let (c_static, _) = summa::<U64Plus>(&grid, &a, &a, &Exec::new(1), &mut timer);
             let f_keys: std::collections::BTreeSet<_> = f
                 .to_global_triples()
                 .iter()
@@ -1449,12 +1014,10 @@ mod tests {
                 .to_global_triples()
                 .iter()
                 .all(|t| f_keys.contains(&(t.row, t.col)));
-            (
-                c.gather_to_root(comm) == c_static.gather_to_root(comm),
-                covers,
-            )
-        });
-        assert!(out.results.iter().all(|&(eq, cov)| eq && cov));
+            let c_root = c.gather_to_root(comm);
+            let eq = c_root == c_static.gather_to_root(comm);
+            (c_root, f.gather_to_root(comm), eq, covers)
+        })
     }
 
     /// The headline property: dynamic updates move far fewer bytes than a
@@ -1474,7 +1037,7 @@ mod tests {
             };
             let mut a = DistMat::from_global_triples(&grid, n, n, t.clone(), 1, &mut timer);
             let mut b = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-            let (mut c, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
+            let (mut c, _) = summa::<U64Plus>(&grid, &a, &b, &Exec::new(1), &mut timer);
             let before = dspgemm_mpi::CommCategory::all();
             let _ = before;
             // Measure only the update step: reset via snapshot is not
@@ -1488,9 +1051,10 @@ mod tests {
                 &mut a,
                 &mut b,
                 &mut c,
+                None,
                 ups,
                 vec![],
-                1,
+                &Exec::new(1),
                 &mut timer,
             );
             c.local_nnz()
@@ -1505,19 +1069,18 @@ mod tests {
             };
             let mut a = DistMat::from_global_triples(&grid, n, n, t.clone(), 1, &mut timer);
             let b = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-            let (c0, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
+            let (c0, _) = summa::<U64Plus>(&grid, &a, &b, &Exec::new(1), &mut timer);
             // Static strategy: apply updates, recompute from scratch.
             let ups = random_triples(77 + comm.rank() as u64, n, batch);
             let a_star = crate::update::build_update_matrix::<U64Plus>(
                 &grid,
-                n,
-                n,
+                a.info().layout(),
                 ups,
                 Dedup::Add,
                 &mut timer,
             );
-            apply_add::<U64Plus>(&mut a, &a_star, 1);
-            let (c1, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
+            apply_add::<U64Plus>(&mut a, &a_star, &Exec::new(1));
+            let (c1, _) = summa::<U64Plus>(&grid, &a, &b, &Exec::new(1), &mut timer);
             let _ = (c0, c1);
             0usize
         });

@@ -6,7 +6,7 @@
 //! are non-zero in `C* = A*·B' + A·B*` (structurally), so the algorithm
 //! *recomputes exactly those positions*, pruning everything else:
 //!
-//! 1. `COMPUTE_PATTERN` — the Algorithm-1 machinery with the pattern kernel
+//! 1. `COMPUTE_PATTERN` — the Algorithm-1 round core with the pattern kernel
 //!    produces each rank's block of `C*`'s sparsity pattern together with
 //!    the Bloom filter `F*` of contributing inner indices;
 //! 2. `E = (F ⊕ F*) masked at C*`, reduced bitwise-or over each process row
@@ -19,17 +19,22 @@
 //!    `H`), and merge-reduces partials onto the owners;
 //! 5. locally, `Z` replaces the masked entries of `C` (absent ⇒ the entry
 //!    became structurally zero ⇒ delete), and `H` replaces them in `F`.
+//!
+//! Steps 2–5 read only the post-update operands, so they exist once (a
+//! private repair tail parameterised by its right operand) and serve both
+//! [`apply_general_updates`] (`C = A·B`, right operand `B'`) and
+//! [`apply_shared_general`] (`C = A·A`, right operand `A'`).
 
 use crate::distmat::{DistDcsr, DistMat, Elem};
 use crate::dyn_algebraic::{
-    compute_cstar_exec, compute_cstar_shared_exec, PatternKernel, StarView, TransposeMode,
+    compute_cstar, compute_cstar_shared, PatternKernel, StarView, TransposeMode,
 };
 use crate::exec::Exec;
 use crate::grid::Grid;
-use crate::layout::{uniform_layout, Layout};
+use crate::layout::Layout;
 use crate::phase;
-use crate::pipeline::{await_into_phase, run_rounds, Schedule};
-use crate::update::{apply_mask_exec, apply_merge_exec, build_update_matrix_in, Dedup};
+use crate::pipeline::{await_into_phase, run_rounds};
+use crate::update::{apply_mask, apply_merge, build_update_matrix, Dedup};
 use dspgemm_sparse::bloom::row_or_reduce;
 use dspgemm_sparse::masked_mm::{masked_spgemm_bloom_with, MaskSet};
 use dspgemm_sparse::ops::extract_filtered;
@@ -82,7 +87,7 @@ pub struct PreparedGeneral<V> {
     /// Structural union of both — the `A*` of `COMPUTE_PATTERN`.
     pub star: DistDcsr<V>,
     /// `star` rebuilt in transposed layout (flipped tuples, swapped
-    /// dimensions) when the batch was prepared for
+    /// dimensions) when the batch was prepared under
     /// [`TransposeMode::Virtual`]: `COMPUTE_PATTERN`'s round roots then
     /// resolve their blocks by local transposition instead of the wire
     /// exchange (Section V-C). `None` ⇒ physical resolution.
@@ -90,67 +95,36 @@ pub struct PreparedGeneral<V> {
 }
 
 impl<V: Elem> PreparedGeneral<V> {
-    /// The operand view `COMPUTE_PATTERN` consumes: the transposed-layout
-    /// build when present, else the natural star.
-    pub fn view(&self) -> StarView<'_, V> {
-        match &self.star_t {
-            Some(t) => StarView::Transposed(t),
-            None => StarView::Natural(&self.star),
-        }
+    fn view(&self) -> StarView<'_, V> {
+        StarView::of(&self.star, self.star_t.as_ref())
+    }
+
+    /// `A ← MASK(MERGE(A, sets), deletes)`. Local-only.
+    fn apply<S: Semiring<Elem = V>>(&self, a: &mut DistMat<V>, exec: &Exec<S>) {
+        apply_merge::<S>(a, &self.set_mat, exec);
+        apply_mask::<S>(a, &self.del_mat, exec);
     }
 }
 
 /// Redistributes one operand's general-update batch (the only communication
-/// of update assembly) and builds its MERGE/MASK/pattern matrices.
-/// Collective over the grid. Resolution stays physical (`star_t = None`);
-/// use [`prepare_general_update_mode`] to opt into virtual transposition.
+/// of update assembly) under `layout` — the layout of the matrix it patches
+/// — and builds its MERGE/MASK/pattern matrices. Collective over the grid.
+///
+/// Under [`TransposeMode::Virtual`] in `exec` the combined structural
+/// pattern is additionally redistributed with flipped tuples and swapped
+/// dimensions; ordering the flipped stream deletes-first (zero values),
+/// then sets, and deduplicating [`Dedup::LastWins`] reproduces the natural
+/// star's values exactly — a position covered by any set keeps the last set
+/// value, a delete-only position keeps the semiring zero — so
+/// `COMPUTE_PATTERN`'s broadcast payloads are bit-identical across modes.
 pub fn prepare_general_update<S: Semiring>(
-    grid: &Grid,
-    nrows: Index,
-    ncols: Index,
-    upd: GeneralUpdates<S::Elem>,
-    timer: &mut PhaseTimer,
-) -> PreparedGeneral<S::Elem> {
-    prepare_general_update_mode::<S>(grid, nrows, ncols, upd, TransposeMode::Physical, timer)
-}
-
-/// [`prepare_general_update`] under an explicit [`TransposeMode`]. Under
-/// [`TransposeMode::Virtual`] the combined structural pattern is
-/// additionally redistributed with flipped tuples and swapped dimensions;
-/// ordering the flipped stream deletes-first (zero values), then sets, and
-/// deduplicating [`Dedup::LastWins`] reproduces the natural star's values
-/// exactly — a position covered by any set keeps the last set value, a
-/// delete-only position keeps the semiring zero — so `COMPUTE_PATTERN`'s
-/// broadcast payloads are bit-identical across modes. `mode` must agree on
-/// all ranks (it changes the collective schedule). Collective.
-pub fn prepare_general_update_mode<S: Semiring>(
-    grid: &Grid,
-    nrows: Index,
-    ncols: Index,
-    upd: GeneralUpdates<S::Elem>,
-    mode: TransposeMode,
-    timer: &mut PhaseTimer,
-) -> PreparedGeneral<S::Elem> {
-    prepare_general_update_mode_in::<S>(
-        grid,
-        &uniform_layout(nrows, ncols, grid.q()),
-        upd,
-        mode,
-        timer,
-    )
-}
-
-/// [`prepare_general_update_mode`] under an explicit [`Layout`] — the form
-/// the engine uses so general-update operands route under the session's
-/// (possibly rebalanced) cuts. Collective.
-pub fn prepare_general_update_mode_in<S: Semiring>(
     grid: &Grid,
     layout: &Arc<Layout>,
     upd: GeneralUpdates<S::Elem>,
-    mode: TransposeMode,
+    exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> PreparedGeneral<S::Elem> {
-    let combined_t = matches!(mode, TransposeMode::Virtual).then(|| {
+    let combined_t = (exec.transpose == TransposeMode::Virtual).then(|| {
         let mut v: Vec<Triple<S::Elem>> = upd
             .deletes
             .iter()
@@ -164,14 +138,14 @@ pub fn prepare_general_update_mode_in<S: Semiring>(
         .iter()
         .map(|&(r, c)| Triple::new(r, c, S::zero()))
         .collect();
-    let set_mat = build_update_matrix_in::<S>(grid, layout, upd.sets, Dedup::LastWins, timer);
-    let del_mat = build_update_matrix_in::<S>(grid, layout, del_tuples, Dedup::LastWins, timer);
+    let set_mat = build_update_matrix::<S>(grid, layout, upd.sets, Dedup::LastWins, timer);
+    let del_mat = build_update_matrix::<S>(grid, layout, del_tuples, Dedup::LastWins, timer);
     // A* = sets ∪ deletes structurally (deletions "add a structural non-zero
     // to A* to indicate that the corresponding entries have changed").
     let star_block = Dcsr::merge_with(set_mat.block(), del_mat.block(), |a, _| a);
     let star = DistDcsr::from_block_in(grid, layout, star_block);
     let star_t = combined_t.map(|tuples| {
-        build_update_matrix_in::<S>(
+        build_update_matrix::<S>(
             grid,
             &Arc::new(layout.transposed()),
             tuples,
@@ -187,31 +161,31 @@ pub fn prepare_general_update_mode_in<S: Semiring>(
     }
 }
 
-/// The `√p` masked-recompute rounds shared by both general-update paths:
-/// broadcast `A^R` over process rows and the `C*` pattern over process
-/// columns, recompute `Z = A^R · right` masked at `C*` (with updated Bloom
-/// bits), and merge-reduce the partials onto the owners. Pipelined: round
-/// `k + 1`'s two broadcasts are in flight while round `k` runs the masked
-/// multiply and its reduction (both payloads are round-invariant, so the
-/// lookahead costs no extra assembly). Returns `(Z_{i,j}, local_flops)`.
-/// Collective over the grid.
+/// The `√p` masked-recompute rounds of the repair tail: broadcast `A^R`
+/// over process rows and the `C*` pattern over process columns, recompute
+/// `Z = A^R · right` masked at `C*` (with updated Bloom bits), and
+/// merge-reduce the partials onto the owners. Pipelined under the default
+/// schedule: round `k + 1`'s two broadcasts are in flight while round `k`
+/// runs the masked multiply and its reduction (both payloads are
+/// round-invariant, so the lookahead costs no extra assembly). Returns
+/// `(Z_{i,j}, local_flops)`. Collective over the grid.
 fn masked_recompute_rounds<S: Semiring>(
     grid: &Grid,
     ar_t: &Arc<Dcsr<S::Elem>>,
     cstar_structure: &Arc<Dcsr<()>>,
-    right: &dspgemm_sparse::DhbMatrix<S::Elem>,
-    k_offset: Index,
+    right: &DistMat<S::Elem>,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> (Dcsr<(S::Elem, u64)>, u64) {
     let q = grid.q();
     let (i, j) = grid.coords();
+    let k_offset = right.info().row_range.start;
     let mut flops = 0u64;
     let mut z_mine: Option<Dcsr<(S::Elem, u64)>> = None;
     run_rounds(
         &mut (timer, &mut flops, &mut z_mine),
         q,
-        Schedule::Overlap,
+        exec.rounds,
         |_ctx, k| {
             let ra = grid
                 .row_comm()
@@ -240,7 +214,7 @@ fn masked_recompute_rounds<S: Semiring>(
                 let mask = MaskSet::from_pattern(&cstar_bcast);
                 masked_spgemm_bloom_with::<S, _, _>(
                     &*ar_bcast,
-                    right,
+                    right.block(),
                     &mask,
                     k_offset,
                     exec.fused(),
@@ -262,104 +236,26 @@ fn masked_recompute_rounds<S: Semiring>(
     (z_mine.expect("round k=i must deliver Z_{i,j}"), flops)
 }
 
-/// Applies one batch of general updates to each operand of `C = A · B`,
-/// updating `A`, `B`, `C` and the filter matrix `F` in place via
-/// Algorithm 2. Returns the local flop count. Collective over the grid.
-///
-/// `f` must have been maintained by every prior product/update step
-/// ([`crate::summa::summa_bloom`], the tracked algebraic path, or this
-/// function) — the engine enforces that.
+/// Algorithm 2's repair tail (steps 2–5), once `COMPUTE_PATTERN` delivered
+/// this rank's `C*` pattern block with its `F*` bits and both operands hold
+/// their updated values: filter `R`, extraction `A^R` from `a_new`, masked
+/// recomputation `Z = A^R · right` and the masked merge of `Z` into `C`
+/// and `H` into `F`. Returns the local flop count. Collective over the
+/// grid.
 #[allow(clippy::too_many_arguments)]
-pub fn apply_general_updates<S: Semiring>(
+fn repair<S: Semiring>(
     grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    b: &mut DistMat<S::Elem>,
+    a_new: &DistMat<S::Elem>,
+    right: &DistMat<S::Elem>,
     c: &mut DistMat<S::Elem>,
     f: &mut DistMat<u64>,
-    a_upd: GeneralUpdates<S::Elem>,
-    b_upd: GeneralUpdates<S::Elem>,
-    threads: usize,
-    timer: &mut PhaseTimer,
-) -> u64 {
-    apply_general_updates_exec::<S>(grid, a, b, c, f, a_upd, b_upd, &Exec::new(threads), timer)
-}
-
-/// [`apply_general_updates`] under an explicit [`Exec`] — the engine's
-/// entry point, so the pattern pass and masked recomputation lease from the
-/// session pools. Defaults to [`TransposeMode::Virtual`] (Section V-C).
-#[allow(clippy::too_many_arguments)]
-pub fn apply_general_updates_exec<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    b: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    f: &mut DistMat<u64>,
-    a_upd: GeneralUpdates<S::Elem>,
-    b_upd: GeneralUpdates<S::Elem>,
+    cstar: &Dcsr<u64>,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> u64 {
-    apply_general_updates_mode_exec::<S>(
-        grid,
-        a,
-        b,
-        c,
-        f,
-        a_upd,
-        b_upd,
-        TransposeMode::default(),
-        exec,
-        timer,
-    )
-}
-
-/// [`apply_general_updates_exec`] under an explicit [`TransposeMode`] —
-/// the `repro commavoid` ablation switch for Algorithm 2's
-/// `COMPUTE_PATTERN` phase (the `A^R` exchange of the masked recompute is
-/// physical in both modes: `A^R` is data-dependent and cannot be prebuilt
-/// at redistribution time).
-#[allow(clippy::too_many_arguments)]
-pub fn apply_general_updates_mode_exec<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    b: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    f: &mut DistMat<u64>,
-    a_upd: GeneralUpdates<S::Elem>,
-    b_upd: GeneralUpdates<S::Elem>,
-    mode: TransposeMode,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-) -> u64 {
-    // --- Update matrices (redistribution = "scatter"). ---
-    let (a_ops, b_ops) = timer.time(phase::SCATTER, || {
-        let mut inner_t = PhaseTimer::new();
-        let a_layout = Arc::clone(a.info().layout());
-        let b_layout = Arc::clone(b.info().layout());
-        let a_ops = prepare_general_update_mode_in::<S>(grid, &a_layout, a_upd, mode, &mut inner_t);
-        let b_ops = prepare_general_update_mode_in::<S>(grid, &b_layout, b_upd, mode, &mut inner_t);
-        (a_ops, b_ops)
-    });
-
-    // --- B ← B' (Eq. 1 needs B' during pattern computation). ---
-    timer.time(phase::LOCAL_UPDATE, || {
-        apply_merge_exec::<S>(b, &b_ops.set_mat, exec);
-        apply_mask_exec::<S>(b, &b_ops.del_mat, exec);
-    });
-
-    // --- COMPUTE_PATTERN: C* pattern + F* bits at each owner. ---
-    let (cstar, mut flops) =
-        compute_cstar_exec::<S, PatternKernel>(grid, a, b, a_ops.view(), b_ops.view(), exec, timer);
-
-    // --- A ← A' (the masked recomputation reads the *new* A). ---
-    timer.time(phase::LOCAL_UPDATE, || {
-        apply_merge_exec::<S>(a, &a_ops.set_mat, exec);
-        apply_mask_exec::<S>(a, &a_ops.del_mat, exec);
-    });
-
     // --- E = (F ⊕ F*) masked at C*; R = row-wise OR, allreduced over the
     // process row. ---
-    let local_rows = a.info().local_rows();
+    let local_rows = a_new.info().local_rows();
     let filter: Arc<Vec<u64>> = timer.time(phase::REDUCE_SCATTER, || {
         let mut e = Dcsr::empty(cstar.nrows(), cstar.ncols());
         cstar.scan_rows(|r, cols, vals| {
@@ -386,13 +282,15 @@ pub fn apply_general_updates_mode_exec<S: Semiring>(
     // columns). ---
     let a_r: Arc<Dcsr<S::Elem>> = timer.time(phase::LOCAL_MULT, || {
         Arc::new(extract_filtered(
-            a.block(),
+            a_new.block(),
             &filter,
-            a.info().col_range.start,
+            a_new.info().col_range.start,
         ))
     });
 
-    // --- Transpose exchange of A^R (enables parallel row broadcasts). ---
+    // --- Transpose exchange of A^R (enables parallel row broadcasts). It is
+    // physical under both transposition modes: A^R is data-dependent and
+    // cannot be prebuilt at redistribution time. ---
     const TAG_AR: u64 = 103;
     let peer = grid.transpose_rank();
     let ar_t: Arc<Dcsr<S::Elem>> = timer.time(phase::SEND_RECV, || {
@@ -404,18 +302,10 @@ pub fn apply_general_updates_mode_exec<S: Semiring>(
     });
 
     // --- √p rounds: bcast A^R over rows, C* over columns, masked multiply,
-    // merge-reduce Z/H onto owners (pipelined). ---
+    // merge-reduce Z/H onto owners. ---
     let cstar_structure: Arc<Dcsr<()>> = Arc::new(cstar.map(|_| ()));
-    let (z, z_flops) = masked_recompute_rounds::<S>(
-        grid,
-        &ar_t,
-        &cstar_structure,
-        b.block(),
-        b.info().row_range.start,
-        exec,
-        timer,
-    );
-    flops += z_flops;
+    let (z, flops) =
+        masked_recompute_rounds::<S>(grid, &ar_t, &cstar_structure, right, exec, timer);
 
     // --- Merge Z into C and H into F, masked at C*: recomputed entries are
     // replaced, vanished entries deleted. ---
@@ -450,6 +340,48 @@ pub fn apply_general_updates_mode_exec<S: Semiring>(
     flops
 }
 
+/// Applies one batch of general updates to each operand of `C = A · B`,
+/// updating `A`, `B`, `C` and the filter matrix `F` in place via
+/// Algorithm 2. `COMPUTE_PATTERN` resolves its round roots under
+/// [`Exec::transpose`]. Returns the local flop count. Collective over the
+/// grid.
+///
+/// `f` must have been maintained by every prior product/update step
+/// ([`crate::summa::summa_bloom`], the tracked algebraic path, or this
+/// function) — the engine enforces that.
+#[allow(clippy::too_many_arguments)]
+pub fn apply_general_updates<S: Semiring>(
+    grid: &Grid,
+    a: &mut DistMat<S::Elem>,
+    b: &mut DistMat<S::Elem>,
+    c: &mut DistMat<S::Elem>,
+    f: &mut DistMat<u64>,
+    a_upd: GeneralUpdates<S::Elem>,
+    b_upd: GeneralUpdates<S::Elem>,
+    exec: &Exec<S>,
+    timer: &mut PhaseTimer,
+) -> u64 {
+    // --- Update matrices (redistribution = "scatter"). ---
+    let (a_ops, b_ops) = timer.time(phase::SCATTER, || {
+        let mut inner_t = PhaseTimer::new();
+        let a_ops = prepare_general_update::<S>(grid, a.info().layout(), a_upd, exec, &mut inner_t);
+        let b_ops = prepare_general_update::<S>(grid, b.info().layout(), b_upd, exec, &mut inner_t);
+        (a_ops, b_ops)
+    });
+
+    // --- B ← B' (Eq. 1 needs B' during pattern computation). ---
+    timer.time(phase::LOCAL_UPDATE, || b_ops.apply(b, exec));
+
+    // --- COMPUTE_PATTERN: C* pattern + F* bits at each owner. ---
+    let (cstar, flops) =
+        compute_cstar::<S, PatternKernel>(grid, a, b, a_ops.view(), b_ops.view(), exec, timer);
+
+    // --- A ← A' (the masked recomputation reads the *new* A). ---
+    timer.time(phase::LOCAL_UPDATE, || a_ops.apply(a, exec));
+
+    flops + repair::<S>(grid, a, b, c, f, &cstar, exec, timer)
+}
+
 /// Shared-operand general update from **pre-built** update matrices:
 /// applies one batch of sets/deletes to the single dynamic matrix of a
 /// maintained square product `C = A · A` and repairs `C` and `F` via
@@ -457,27 +389,10 @@ pub fn apply_general_updates_mode_exec<S: Semiring>(
 /// positions whose values were recomputed or deleted — the change feed for
 /// maintained views) plus the local flop count. Collective.
 ///
-/// `COMPUTE_PATTERN` runs through
-/// [`compute_cstar_shared`](crate::dyn_algebraic::compute_cstar_shared)'s
-/// split round
-/// structure (`Y` rounds against the old `A`, MERGE/MASK application, `X`
-/// rounds against the new `A'`); the subsequent filter reduction, `A^R`
-/// extraction and masked recomputation read only the post-update matrix, so
-/// they are unchanged from [`apply_general_updates`] with `B = A'`.
-pub fn apply_shared_general_prebuilt<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    f: &mut DistMat<u64>,
-    prep: &PreparedGeneral<S::Elem>,
-    threads: usize,
-    timer: &mut PhaseTimer,
-) -> (Dcsr<u64>, u64) {
-    apply_shared_general_prebuilt_exec::<S>(grid, a, c, f, prep, &Exec::new(threads), timer)
-}
-
-/// [`apply_shared_general_prebuilt`] under an explicit [`Exec`].
-pub fn apply_shared_general_prebuilt_exec<S: Semiring>(
+/// `COMPUTE_PATTERN` runs the round core's `Y` side against the old `A`,
+/// applies MERGE/MASK in place, then the `X` side against `A'`; the repair
+/// tail is [`apply_general_updates`]'s with right operand `A'`.
+pub fn apply_shared_general<S: Semiring>(
     grid: &Grid,
     a: &mut DistMat<S::Elem>,
     c: &mut DistMat<S::Elem>,
@@ -486,104 +401,15 @@ pub fn apply_shared_general_prebuilt_exec<S: Semiring>(
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> (Dcsr<u64>, u64) {
-    // --- COMPUTE_PATTERN around the in-place update A → A'. ---
-    let (cstar, mut flops) = compute_cstar_shared_exec::<S, PatternKernel>(
+    let (cstar, flops) = compute_cstar_shared::<S, PatternKernel>(
         grid,
         a,
         prep.view(),
-        |m| {
-            apply_merge_exec::<S>(m, &prep.set_mat, exec);
-            apply_mask_exec::<S>(m, &prep.del_mat, exec);
-        },
+        |m| prep.apply(m, exec),
         exec,
         timer,
     );
-
-    // --- E = (F ⊕ F*) masked at C*; R = row-wise OR over the process row. ---
-    let local_rows = a.info().local_rows();
-    let filter: Arc<Vec<u64>> = timer.time(phase::REDUCE_SCATTER, || {
-        let mut e = Dcsr::empty(cstar.nrows(), cstar.ncols());
-        cstar.scan_rows(|r, cols, vals| {
-            let mut e_cols: Vec<Index> = Vec::with_capacity(cols.len());
-            let mut e_vals: Vec<u64> = Vec::with_capacity(cols.len());
-            for (&cc, &fstar_bits) in cols.iter().zip(vals) {
-                let f_bits = f.block().get(r, cc).unwrap_or(0);
-                e_cols.push(cc);
-                e_vals.push(f_bits | fstar_bits);
-            }
-            e.push_row(r, &e_cols, &e_vals);
-        });
-        let local_r = row_or_reduce(&e, local_rows);
-        let reduced = grid.row_comm().reduce(0, local_r, |mut x, y| {
-            dspgemm_sparse::bloom::or_assign(&mut x, &y);
-            x
-        });
-        grid.row_comm().bcast_shared(0, reduced.map(Arc::new))
-    });
-
-    // --- A^R: filtered extraction of the already-updated A'. ---
-    let a_r: Arc<Dcsr<S::Elem>> = timer.time(phase::LOCAL_MULT, || {
-        Arc::new(extract_filtered(
-            a.block(),
-            &filter,
-            a.info().col_range.start,
-        ))
-    });
-
-    // --- Transpose exchange of A^R. ---
-    const TAG_AR_SHARED: u64 = 106;
-    let peer = grid.transpose_rank();
-    let ar_t: Arc<Dcsr<S::Elem>> = timer.time(phase::SEND_RECV, || {
-        if peer == grid.world().rank() {
-            a_r
-        } else {
-            grid.world().sendrecv_shared(peer, a_r, peer, TAG_AR_SHARED)
-        }
-    });
-
-    // --- √p rounds: bcast A^R over rows, C* over columns, masked multiply
-    // against A' itself, merge-reduce Z/H onto owners (pipelined). ---
-    let cstar_structure: Arc<Dcsr<()>> = Arc::new(cstar.map(|_| ()));
-    let (z, z_flops) = masked_recompute_rounds::<S>(
-        grid,
-        &ar_t,
-        &cstar_structure,
-        a.block(),
-        a.info().row_range.start,
-        exec,
-        timer,
-    );
-    flops += z_flops;
-
-    // --- Merge Z into C and H into F, masked at C*. ---
-    timer.time(phase::LOCAL_UPDATE, || {
-        if cstar.nnz() == 0 {
-            return; // keep the blocks' snapshot images valid (COW publish)
-        }
-        let mut z_lookup: FxHashMap<u64, (S::Elem, u64)> = FxHashMap::default();
-        z_lookup.reserve(z.nnz());
-        z.scan_rows(|r, cols, vals| {
-            for (&cc, &v) in cols.iter().zip(vals) {
-                z_lookup.insert(((r as u64) << 32) | cc as u64, v);
-            }
-        });
-        let c_block = c.block_mut();
-        let f_block = f.block_mut();
-        cstar.scan_rows(|r, cols, _| {
-            for &cc in cols {
-                match z_lookup.get(&(((r as u64) << 32) | cc as u64)) {
-                    Some(&(v, bits)) => {
-                        c_block.set(r, cc, v);
-                        f_block.set(r, cc, bits);
-                    }
-                    None => {
-                        c_block.remove(r, cc);
-                        f_block.remove(r, cc);
-                    }
-                }
-            }
-        });
-    });
+    let flops = flops + repair::<S>(grid, a, a, c, f, &cstar, exec, timer);
     (cstar, flops)
 }
 
@@ -670,7 +496,8 @@ mod tests {
             };
             let mut a = DistMat::from_global_triples(&grid, n, n, feed(1), 1, &mut timer);
             let mut b = DistMat::from_global_triples(&grid, n, n, feed(2), 1, &mut timer);
-            let (mut c, mut f, _) = summa_bloom::<MinPlus>(&grid, &a, &b, 1, &mut timer);
+            let (mut c, mut f, _) =
+                summa_bloom::<MinPlus>(&grid, &a, &b, &Exec::new(1), &mut timer);
             for round in 0..rounds as u64 {
                 // Rank 0 draws updates from the *current* global state so
                 // value-increases and deletions hit real entries.
@@ -685,11 +512,19 @@ mod tests {
                     (GeneralUpdates::new(), GeneralUpdates::new())
                 };
                 apply_general_updates::<MinPlus>(
-                    &grid, &mut a, &mut b, &mut c, &mut f, a_upd, b_upd, 1, &mut timer,
+                    &grid,
+                    &mut a,
+                    &mut b,
+                    &mut c,
+                    &mut f,
+                    a_upd,
+                    b_upd,
+                    &Exec::new(1),
+                    &mut timer,
                 );
             }
             // Reference: static recomputation of A'·B' from scratch.
-            let (c_static, _) = summa::<MinPlus>(&grid, &a, &b, 1, &mut timer);
+            let (c_static, _) = summa::<MinPlus>(&grid, &a, &b, &Exec::new(1), &mut timer);
             (c.gather_to_root(comm), c_static.gather_to_root(comm))
         });
         let (c_dyn, c_static) = &out.results[0];
@@ -728,7 +563,8 @@ mod tests {
             };
             let mut a = DistMat::from_global_triples(&grid, n, n, t.clone(), 1, &mut timer);
             let mut b = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-            let (mut c, mut f, _) = summa_bloom::<U64Plus>(&grid, &a, &b, 1, &mut timer);
+            let (mut c, mut f, _) =
+                summa_bloom::<U64Plus>(&grid, &a, &b, &Exec::new(1), &mut timer);
             // Delete some of A's entries (drawn from gathered state).
             let a_cur = a.gather_to_root(comm);
             let a_upd = if comm.rank() == 0 {
@@ -749,10 +585,10 @@ mod tests {
                 &mut f,
                 a_upd,
                 GeneralUpdates::new(),
-                1,
+                &Exec::new(1),
                 &mut timer,
             );
-            let (c_static, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
+            let (c_static, _) = summa::<U64Plus>(&grid, &a, &b, &Exec::new(1), &mut timer);
             (c.gather_to_root(comm), c_static.gather_to_root(comm))
         });
         let (c_dyn, c_static) = &out.results[0];
@@ -761,42 +597,82 @@ mod tests {
 
     /// Shared-operand general updates (deletions + min-plus-incompatible
     /// sets) on C = A·A must equal static recomputation, on every grid.
+    /// Under both transposition modes, with bit-identical `C` and `F`
+    /// across them and fewer point-to-point bytes under virtual
+    /// transposition (only the data-dependent `A^R` exchange stays).
     #[test]
     fn shared_general_matches_static_recompute() {
         let n: Index = 18;
         for p in [1usize, 4, 9] {
-            let out = run(p, move |comm| {
-                let grid = Grid::new(comm);
-                let mut timer = PhaseTimer::new();
-                let t = if comm.rank() == 0 {
-                    random_triples_f(3, n, 3 * n as usize)
-                } else {
-                    vec![]
-                };
-                let mut a = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-                let (mut c, mut f, _) = summa_bloom::<MinPlus>(&grid, &a, &a, 1, &mut timer);
-                for round in 0..2u64 {
-                    let a_cur = a.gather_to_root(comm);
-                    let upd = if comm.rank() == 0 {
-                        draw_general_f(90 + round, n, a_cur.as_ref().unwrap(), 6, 4)
-                    } else {
-                        GeneralUpdates::new()
-                    };
-                    let prep = prepare_general_update::<MinPlus>(&grid, n, n, upd, &mut timer);
-                    let (cstar, _) = apply_shared_general_prebuilt::<MinPlus>(
-                        &grid, &mut a, &mut c, &mut f, &prep, 1, &mut timer,
-                    );
-                    // The change feed covers every masked position by design.
-                    assert!(cstar.nnz() <= c.info().local_rows() as usize * n as usize);
-                }
-                let (c_static, _) = summa::<MinPlus>(&grid, &a, &a, 1, &mut timer);
-                (c.gather_to_root(comm), c_static.gather_to_root(comm))
-            });
-            let (c_dyn, c_static) = &out.results[0];
-            let dd = Dense::from_triples::<MinPlus>(n, n, c_dyn.as_ref().unwrap());
-            let ds = Dense::from_triples::<MinPlus>(n, n, c_static.as_ref().unwrap());
-            assert_eq!(dd.diff(&ds), vec![], "p={p}: shared general != static");
+            let runs: Vec<_> = [TransposeMode::Physical, TransposeMode::Virtual]
+                .into_iter()
+                .map(|mode| shared_general_run(p, n, mode))
+                .collect();
+            for out in &runs {
+                let (c_dyn, c_static, _) = &out.results[0];
+                let dd = Dense::from_triples::<MinPlus>(n, n, c_dyn.as_ref().unwrap());
+                let ds = Dense::from_triples::<MinPlus>(n, n, c_static.as_ref().unwrap());
+                assert_eq!(dd.diff(&ds), vec![], "p={p}: shared general != static");
+            }
+            assert_eq!(runs[0].results, runs[1].results, "p={p}: modes disagree");
+            if p > 1 {
+                let p2p = |i: usize| runs[i].stats.bytes_in(dspgemm_mpi::CommCategory::P2p);
+                assert!(p2p(1) < p2p(0), "p={p}: virtual kept the star exchange");
+            }
         }
+    }
+
+    /// Two shared general batches on `C = A·A` under `mode`: gathered `C`,
+    /// a static recompute, and gathered `F`.
+    #[allow(clippy::type_complexity)]
+    fn shared_general_run(
+        p: usize,
+        n: Index,
+        mode: TransposeMode,
+    ) -> dspgemm_mpi::SimOutput<(
+        Option<Vec<Triple<f64>>>,
+        Option<Vec<Triple<f64>>>,
+        Option<Vec<Triple<u64>>>,
+    )> {
+        run(p, move |comm| {
+            let grid = Grid::new(comm);
+            let mut timer = PhaseTimer::new();
+            let t = if comm.rank() == 0 {
+                random_triples_f(3, n, 3 * n as usize)
+            } else {
+                vec![]
+            };
+            let mut a = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
+            let mut exec = Exec::new(1);
+            exec.transpose = mode;
+            let (mut c, mut f, _) = summa_bloom::<MinPlus>(&grid, &a, &a, &exec, &mut timer);
+            for round in 0..2u64 {
+                let a_cur = a.gather_to_root(comm);
+                let upd = if comm.rank() == 0 {
+                    draw_general_f(90 + round, n, a_cur.as_ref().unwrap(), 6, 4)
+                } else {
+                    GeneralUpdates::new()
+                };
+                let prep = prepare_general_update::<MinPlus>(
+                    &grid,
+                    a.info().layout(),
+                    upd,
+                    &exec,
+                    &mut timer,
+                );
+                let (cstar, _) = apply_shared_general::<MinPlus>(
+                    &grid, &mut a, &mut c, &mut f, &prep, &exec, &mut timer,
+                );
+                // The change feed covers every masked position by design.
+                assert!(cstar.nnz() <= c.info().local_rows() as usize * n as usize);
+            }
+            let (c_static, _) = summa::<MinPlus>(&grid, &a, &a, &exec, &mut timer);
+            (
+                c.gather_to_root(comm),
+                c_static.gather_to_root(comm),
+                f.gather_to_root(comm),
+            )
+        })
     }
 
     #[test]
@@ -812,7 +688,8 @@ mod tests {
             };
             let mut a = DistMat::from_global_triples(&grid, n, n, t.clone(), 1, &mut timer);
             let mut b = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-            let (mut c, mut f, _) = summa_bloom::<U64Plus>(&grid, &a, &b, 1, &mut timer);
+            let (mut c, mut f, _) =
+                summa_bloom::<U64Plus>(&grid, &a, &b, &Exec::new(1), &mut timer);
             let before = c.gather_to_root(comm);
             apply_general_updates::<U64Plus>(
                 &grid,
@@ -822,7 +699,7 @@ mod tests {
                 &mut f,
                 GeneralUpdates::new(),
                 GeneralUpdates::new(),
-                1,
+                &Exec::new(1),
                 &mut timer,
             );
             before == c.gather_to_root(comm)
@@ -843,7 +720,8 @@ mod tests {
             };
             let mut a = DistMat::from_global_triples(&grid, n, n, t.clone(), 1, &mut timer);
             let mut b = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-            let (mut c, mut f, _) = summa_bloom::<U64Plus>(&grid, &a, &b, 1, &mut timer);
+            let (mut c, mut f, _) =
+                summa_bloom::<U64Plus>(&grid, &a, &b, &Exec::new(1), &mut timer);
             for round in 0..2u64 {
                 let a_cur = a.gather_to_root(comm);
                 let a_upd = if comm.rank() == 0 {
@@ -873,7 +751,7 @@ mod tests {
                     &mut f,
                     a_upd,
                     GeneralUpdates::new(),
-                    1,
+                    &Exec::new(1),
                     &mut timer,
                 );
             }

@@ -9,48 +9,25 @@
 
 use crate::distmat::{DistMat, MigrationStats};
 use crate::dyn_algebraic::{
-    apply_algebraic_updates_mode_exec, apply_algebraic_updates_prebuilt_exec,
-    apply_algebraic_updates_tracked_mode_exec, apply_algebraic_updates_tracked_prebuilt_exec,
-    StarBuild, TransposeMode,
+    apply_algebraic_updates, apply_algebraic_updates_prebuilt, PendingStar,
 };
-use crate::dyn_general::{apply_general_updates_mode_exec, GeneralUpdates};
+use crate::dyn_general::{apply_general_updates, GeneralUpdates};
 use crate::exec::Exec;
 use crate::grid::Grid;
 use crate::layout::Layout;
-use crate::rebalance::{imbalance, read_rank_load_gauges, RebalanceConfig, Rebalancer};
+use crate::rebalance::{imbalance, RebalanceConfig, Rebalancer};
 use crate::recovery::{
     Anchor, LoggedBatch, MatImage, RecoveryConfig, RecoveryReport, RecoveryState, ReplicaBundle,
     TAG_ANCHOR, TAG_REBUILD, TAG_WAL,
 };
 use crate::snapshot::{Snapshot, SnapshotMat, SnapshotStore};
-use crate::summa::{summa_bloom_exec, summa_exec};
-use crate::update::{
-    start_update_matrix_in, start_update_matrix_pair_in, Dedup, PendingStarPair,
-    PendingUpdateMatrix,
-};
+use crate::summa::{summa, summa_bloom};
 use dspgemm_mpi::{catch_comm_mut, CommError};
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::{Index, Triple};
 use dspgemm_util::stats::PhaseTimer;
 use dspgemm_util::WireSize;
 use std::sync::Arc;
-
-/// An algebraic batch whose redistribution row-phase `IALLTOALLV`s are in
-/// flight — the content of [`DynSpGemm`]'s depth-1 lookahead slot. One
-/// handle per operand (two per operand under virtual transposition, where
-/// each star is built in both layouts).
-enum PendingBatch<S: Semiring> {
-    /// Natural-layout builds only ([`TransposeMode::Physical`]).
-    Physical {
-        a: Box<PendingUpdateMatrix<S>>,
-        b: Box<PendingUpdateMatrix<S>>,
-    },
-    /// Natural + transposed builds ([`TransposeMode::Virtual`]).
-    Virtual {
-        a: Box<PendingStarPair<S>>,
-        b: Box<PendingStarPair<S>>,
-    },
-}
 
 /// A dynamic SpGEMM session maintaining `C = A · B` under batched updates.
 pub struct DynSpGemm<S: Semiring> {
@@ -66,29 +43,25 @@ pub struct DynSpGemm<S: Semiring> {
     /// The Bloom filter matrix `F` (present iff the session tracks filters,
     /// which is required before general updates can be applied).
     pub f: Option<DistMat<u64>>,
-    /// Local compute configuration: thread count (the paper's OpenMP `T`),
-    /// row schedule, and the workspace pools that persist across every
-    /// update batch and recomputation of this session.
+    /// Compute configuration: thread count (the paper's OpenMP `T`), row
+    /// schedule, transposition mode and round schedule (both rank-uniform;
+    /// `C` is bit-identical across their values), and the workspace pools
+    /// that persist across every update batch and recomputation of this
+    /// session.
     pub exec: Exec<S>,
     /// Accumulated per-phase timings (Fig. 7 / Fig. 12 breakdowns).
     pub timer: PhaseTimer,
     /// Accumulated local scalar-multiplication count.
     pub flops: u64,
-    /// How update-SpGEMM round roots obtain their transposed-position
-    /// blocks ([`TransposeMode::Virtual`] — the communication-avoiding
-    /// Section V-C schedule — by default). Must be rank-uniform: the mode
-    /// changes the collective schedule. The maintained `C` is bit-identical
-    /// across modes.
-    pub transpose_mode: TransposeMode,
     /// Published epochs of `{A, C}` (see [`crate::snapshot`]); the latest is
     /// held here, older ones live as long as a reader pins them.
     snapshots: SnapshotStore<Snapshot<S::Elem>>,
     /// Whether a batch committed since the last publish.
     dirty: bool,
     /// The depth-1 inter-batch lookahead slot: a submitted algebraic batch
-    /// whose redistribution is in flight (see
+    /// whose `(A*, B*)` redistribution is in flight (see
     /// [`DynSpGemm::submit_algebraic`]).
-    pending: Option<PendingBatch<S>>,
+    pending: Option<(PendingStar<S>, PendingStar<S>)>,
     /// The dynamic inter-rank rebalancing policy (opt-in via
     /// [`DynSpGemm::enable_rebalancing`]; `None` keeps the distribution
     /// static, the pre-rebalancing behavior).
@@ -113,8 +86,9 @@ impl<S: Semiring> DynSpGemm<S> {
         Self::new_with_exec(grid, a, b, Exec::new(threads), track_filter)
     }
 
-    /// [`DynSpGemm::new`] with an explicit local compute configuration
-    /// (row schedule ablations, pre-warmed pools). Collective over the grid.
+    /// [`DynSpGemm::new`] with an explicit compute configuration (row
+    /// schedule, transposition and round-schedule ablations, pre-warmed
+    /// pools). Collective over the grid.
     pub fn new_with_exec(
         grid: &Grid,
         a: DistMat<S::Elem>,
@@ -124,10 +98,10 @@ impl<S: Semiring> DynSpGemm<S> {
     ) -> Self {
         let mut timer = PhaseTimer::new();
         let (c, f, flops) = if track_filter {
-            let (c, f, flops) = summa_bloom_exec::<S>(grid, &a, &b, &exec, &mut timer);
+            let (c, f, flops) = summa_bloom::<S>(grid, &a, &b, &exec, &mut timer);
             (c, Some(f), flops)
         } else {
-            let (c, flops) = summa_exec::<S>(grid, &a, &b, &exec, &mut timer);
+            let (c, flops) = summa::<S>(grid, &a, &b, &exec, &mut timer);
             (c, None, flops)
         };
         let mut eng = Self {
@@ -138,7 +112,6 @@ impl<S: Semiring> DynSpGemm<S> {
             exec,
             timer,
             flops,
-            transpose_mode: TransposeMode::default(),
             snapshots: SnapshotStore::new(),
             dirty: false,
             pending: None,
@@ -278,31 +251,17 @@ impl<S: Semiring> DynSpGemm<S> {
         let _sp = dspgemm_obs::span("engine", "apply_algebraic")
             .attr("updates", (a_updates.len() + b_updates.len()) as u64);
         self.dirty = true;
-        self.flops += match &mut self.f {
-            Some(f) => apply_algebraic_updates_tracked_mode_exec::<S>(
-                grid,
-                &mut self.a,
-                &mut self.b,
-                &mut self.c,
-                f,
-                a_updates,
-                b_updates,
-                self.transpose_mode,
-                &self.exec,
-                &mut self.timer,
-            ),
-            None => apply_algebraic_updates_mode_exec::<S>(
-                grid,
-                &mut self.a,
-                &mut self.b,
-                &mut self.c,
-                a_updates,
-                b_updates,
-                self.transpose_mode,
-                &self.exec,
-                &mut self.timer,
-            ),
-        };
+        self.flops += apply_algebraic_updates::<S>(
+            grid,
+            &mut self.a,
+            &mut self.b,
+            &mut self.c,
+            self.f.as_mut(),
+            a_updates,
+            b_updates,
+            &self.exec,
+            &mut self.timer,
+        );
     }
 
     /// Submits a batch of algebraic updates with **inter-batch
@@ -336,45 +295,25 @@ impl<S: Semiring> DynSpGemm<S> {
         let _sp = dspgemm_obs::span("engine", "redist_lookahead")
             .attr("updates", (a_updates.len() + b_updates.len()) as u64);
         // Route under the operands' *current* layouts: after a rebalancing
-        // migration the update matrices must land on the new owners.
-        let a_layout = Arc::clone(self.a.info().layout());
-        let b_layout = Arc::clone(self.b.info().layout());
-        // Issue the new batch's row phase first so it is already in flight
-        // while the previous batch (drained below) computes.
-        let newly = match self.transpose_mode {
-            TransposeMode::Physical => PendingBatch::Physical {
-                a: Box::new(start_update_matrix_in::<S>(
-                    grid,
-                    &a_layout,
-                    a_updates,
-                    Dedup::Add,
-                    &mut self.timer,
-                )),
-                b: Box::new(start_update_matrix_in::<S>(
-                    grid,
-                    &b_layout,
-                    b_updates,
-                    Dedup::Add,
-                    &mut self.timer,
-                )),
-            },
-            TransposeMode::Virtual => PendingBatch::Virtual {
-                a: Box::new(start_update_matrix_pair_in::<S>(
-                    grid,
-                    &a_layout,
-                    a_updates,
-                    Dedup::Add,
-                    &mut self.timer,
-                )),
-                b: Box::new(start_update_matrix_pair_in::<S>(
-                    grid,
-                    &b_layout,
-                    b_updates,
-                    Dedup::Add,
-                    &mut self.timer,
-                )),
-            },
-        };
+        // migration the update matrices must land on the new owners. Issue
+        // the new batch's row phase first so it is already in flight while
+        // the previous batch (drained below) computes.
+        let newly = (
+            PendingStar::start(
+                grid,
+                self.a.info().layout(),
+                a_updates,
+                &self.exec,
+                &mut self.timer,
+            ),
+            PendingStar::start(
+                grid,
+                self.b.info().layout(),
+                b_updates,
+                &self.exec,
+                &mut self.timer,
+            ),
+        );
         let previous = self.pending.replace(newly);
         self.complete(grid, previous);
     }
@@ -397,42 +336,22 @@ impl<S: Semiring> DynSpGemm<S> {
     /// Finishes a pending batch's redistributions (await into
     /// `redist. comm.` exposed/overlapped, then the column phase) and
     /// applies it through the prebuilt Algorithm-1 path.
-    fn complete(&mut self, grid: &Grid, batch: Option<PendingBatch<S>>) {
-        let Some(batch) = batch else { return };
+    fn complete(&mut self, grid: &Grid, batch: Option<(PendingStar<S>, PendingStar<S>)>) {
+        let Some((a, b)) = batch else { return };
         self.dirty = true;
-        let (a_star, b_star) = match batch {
-            PendingBatch::Physical { a, b } => (
-                StarBuild::Physical(a.finish(grid, &mut self.timer)),
-                StarBuild::Physical(b.finish(grid, &mut self.timer)),
-            ),
-            PendingBatch::Virtual { a, b } => (
-                StarBuild::Virtual(a.finish(grid, &mut self.timer)),
-                StarBuild::Virtual(b.finish(grid, &mut self.timer)),
-            ),
-        };
-        self.flops += match &mut self.f {
-            Some(f) => apply_algebraic_updates_tracked_prebuilt_exec::<S>(
-                grid,
-                &mut self.a,
-                &mut self.b,
-                &mut self.c,
-                f,
-                &a_star,
-                &b_star,
-                &self.exec,
-                &mut self.timer,
-            ),
-            None => apply_algebraic_updates_prebuilt_exec::<S>(
-                grid,
-                &mut self.a,
-                &mut self.b,
-                &mut self.c,
-                &a_star,
-                &b_star,
-                &self.exec,
-                &mut self.timer,
-            ),
-        };
+        let a_star = a.finish(grid, &mut self.timer);
+        let b_star = b.finish(grid, &mut self.timer);
+        self.flops += apply_algebraic_updates_prebuilt::<S>(
+            grid,
+            &mut self.a,
+            &mut self.b,
+            &mut self.c,
+            self.f.as_mut(),
+            &a_star,
+            &b_star,
+            &self.exec,
+            &mut self.timer,
+        );
     }
 
     /// Applies a batch of **general** updates (value writes incompatible
@@ -456,7 +375,7 @@ impl<S: Semiring> DynSpGemm<S> {
             .as_mut()
             .expect("general updates require a session created with track_filter = true");
         self.dirty = true;
-        self.flops += apply_general_updates_mode_exec::<S>(
+        self.flops += apply_general_updates::<S>(
             grid,
             &mut self.a,
             &mut self.b,
@@ -464,7 +383,6 @@ impl<S: Semiring> DynSpGemm<S> {
             f,
             a_updates,
             b_updates,
-            self.transpose_mode,
             &self.exec,
             &mut self.timer,
         );
@@ -479,12 +397,12 @@ impl<S: Semiring> DynSpGemm<S> {
         self.dirty = true;
         if self.f.is_some() {
             let (c, f, flops) =
-                summa_bloom_exec::<S>(grid, &self.a, &self.b, &self.exec, &mut self.timer);
+                summa_bloom::<S>(grid, &self.a, &self.b, &self.exec, &mut self.timer);
             self.c = c;
             self.f = Some(f);
             self.flops += flops;
         } else {
-            let (c, flops) = summa_exec::<S>(grid, &self.a, &self.b, &self.exec, &mut self.timer);
+            let (c, flops) = summa::<S>(grid, &self.a, &self.b, &self.exec, &mut self.timer);
             self.c = c;
             self.flops += flops;
         }
@@ -522,9 +440,9 @@ impl<S: Semiring> DynSpGemm<S> {
         self.rebalancer.as_ref()
     }
 
-    /// One rebalancing step: publishes the current epoch (refreshing the
-    /// per-rank load gauges), has world rank 0 read all ranks' gauges and
-    /// decide — max/mean nnz imbalance vs. the configured threshold, under
+    /// One rebalancing step: publishes the current epoch, gathers every
+    /// rank's load (local nnz of `A` plus `C`) to world rank 0, which
+    /// decides — max/mean nnz imbalance vs. the configured threshold, under
     /// the migration cooldown — and, when the verdict is a new cut vector,
     /// migrates `A`, `B`, `C` (and `F`) to the new [`Layout`] through the
     /// two-phase redistribution path and re-publishes under it. Returns
@@ -543,15 +461,18 @@ impl<S: Semiring> DynSpGemm<S> {
             return false;
         }
         self.flush(grid);
-        // Publish (lazily) so every rank's gauges reflect the latest
-        // committed batch, then fence before the root reads them.
+        // Publish (lazily) so the decision keys on the latest epoch.
         self.snapshot();
-        grid.world().barrier();
         let epoch = self.epoch().unwrap_or(0);
         let layout = Arc::clone(self.a.info().layout());
+        // The loads travel over the wire — O(p) words, metered like any
+        // collective — so the root sees every peer on every backend. (nnz,
+        // the state a migration moves, is the balance signal; flops are
+        // cumulative across epochs.)
+        let load = (self.a.block().nnz() + self.c.block().nnz()) as u64;
+        let loads = grid.world().gather(0, load);
         let verdict: (f64, Option<Vec<Index>>) = {
-            let mine = (grid.world().rank() == 0).then(|| {
-                let loads = read_rank_load_gauges(grid.p());
+            let mine = loads.map(|loads| {
                 let reb = self.rebalancer.as_ref().expect("checked above");
                 (
                     imbalance(&loads),
@@ -978,12 +899,12 @@ impl<S: Semiring> DynSpGemm<S> {
     /// the buddy, rebuilds the matrices at the agreed rollback anchor and
     /// replays the crashed rank's own logged inputs alongside the
     /// survivors' [`DynSpGemm::recover`] — the identical collective
-    /// sequence, so the grid stays in lockstep. `exec` and `transpose_mode`
-    /// must match the original session's (rank-uniform settings).
+    /// sequence, so the grid stays in lockstep. `exec`'s transposition mode
+    /// and round schedule must match the original session's (rank-uniform
+    /// settings).
     pub fn recover_as_replacement(
         grid: &Grid,
         exec: Exec<S>,
-        transpose_mode: TransposeMode,
         cfg: RecoveryConfig,
     ) -> (Self, RecoveryReport) {
         let mut sp = dspgemm_obs::span("engine", "recover").attr("replacement", 1);
@@ -1037,7 +958,6 @@ impl<S: Semiring> DynSpGemm<S> {
             exec,
             timer: PhaseTimer::new(),
             flops: anchor.flops,
-            transpose_mode,
             snapshots,
             dirty: false,
             pending: None,
@@ -1159,7 +1079,7 @@ mod tests {
             eng.apply_algebraic(&grid, random_triples(30 + comm.rank() as u64, n, 8), vec![]);
             // Invariant: C == static A'·B'.
             let (c_static, _) =
-                crate::summa::summa::<U64Plus>(&grid, &eng.a, &eng.b, 1, &mut timer);
+                crate::summa::summa::<U64Plus>(&grid, &eng.a, &eng.b, &Exec::new(1), &mut timer);
             (
                 eng.c.gather_to_root(comm),
                 c_static.gather_to_root(comm),
@@ -1310,7 +1230,7 @@ mod tests {
             };
             eng.apply_general(&grid, a_upd, GeneralUpdates::new());
             let (c_static, _) =
-                crate::summa::summa::<MinPlus>(&grid, &eng.a, &eng.b, 1, &mut timer);
+                crate::summa::summa::<MinPlus>(&grid, &eng.a, &eng.b, &Exec::new(1), &mut timer);
             eng.c.gather_to_root(comm) == c_static.gather_to_root(comm)
         });
         assert!(out.results.iter().all(|&x| x));

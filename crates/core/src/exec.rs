@@ -1,5 +1,6 @@
-//! The per-session local compute configuration: thread count, row schedule,
-//! and the workspace pools every SpGEMM path leases from.
+//! The per-session compute configuration: thread count, row schedule, the
+//! two ablation switches every SpGEMM path reads (transposition mode and
+//! round schedule), and the workspace pools every SpGEMM path leases from.
 //!
 //! [`Exec`] is what turns the sparse crate's per-call
 //! [`dspgemm_sparse::local_mm::KernelPlan`] into a *session*
@@ -13,23 +14,37 @@
 //! (`S::Elem`), value+Bloom fusion (`(S::Elem, u64)`), and pattern bits
 //! (`u64`). [`crate::dyn_algebraic::XYKernel::plan`] selects the right one.
 
+use crate::dyn_algebraic::TransposeMode;
+use crate::pipeline::Schedule;
 use dspgemm_sparse::local_mm::KernelPlan;
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::workspace::{TransposeLease, TransposePool, WorkspacePool};
 use dspgemm_util::par::RowSchedule;
 
-/// Local-kernel execution context for one semiring: intra-rank thread
-/// count, row schedule, and the per-payload workspace pools.
+/// Execution context for one semiring: intra-rank thread count, row
+/// schedule, transposition mode, round schedule, and the per-payload
+/// workspace pools.
+///
+/// `transpose` and `rounds` change the collective schedule, so they must be
+/// rank-uniform; results are bit-identical across their values.
 #[derive(Debug)]
 pub struct Exec<S: Semiring> {
     /// Intra-rank worker threads (the paper's OpenMP `T`).
     pub threads: usize,
     /// Row-to-worker assignment policy for every local multiply.
     pub schedule: RowSchedule,
+    /// How update-SpGEMM round roots obtain their transposed-position
+    /// blocks; every update-matrix build reads it. [`TransposeMode::Virtual`]
+    /// (Section V-C) by default.
+    pub transpose: TransposeMode,
+    /// Whether round loops issue round `k + 1`'s communication before round
+    /// `k`'s compute ([`Schedule::Overlap`], the default) or serialize them
+    /// (the `repro overlap` baseline).
+    pub rounds: Schedule,
     plain: WorkspacePool<S::Elem>,
     fused: WorkspacePool<(S::Elem, u64)>,
     pattern: WorkspacePool<u64>,
-    transpose: TransposePool<S::Elem>,
+    transpose_pool: TransposePool<S::Elem>,
 }
 
 impl<S: Semiring> Exec<S> {
@@ -43,10 +58,12 @@ impl<S: Semiring> Exec<S> {
         Self {
             threads,
             schedule,
+            transpose: TransposeMode::default(),
+            rounds: Schedule::default(),
             plain: WorkspacePool::new(),
             fused: WorkspacePool::new(),
             pattern: WorkspacePool::new(),
-            transpose: TransposePool::new(),
+            transpose_pool: TransposePool::new(),
         }
     }
 
@@ -69,7 +86,7 @@ impl<S: Semiring> Exec<S> {
     /// local step (`Csr::transpose_into` / `Dcsr::transpose_into`); the
     /// workspace returns to the pool on drop.
     pub fn transpose_ws(&self) -> TransposeLease<'_, S::Elem> {
-        self.transpose.lease()
+        self.transpose_pool.lease()
     }
 
     /// Total heap bytes idling in the pools (workspace-reuse
@@ -79,7 +96,7 @@ impl<S: Semiring> Exec<S> {
         self.plain.heap_bytes()
             + self.fused.heap_bytes()
             + self.pattern.heap_bytes()
-            + self.transpose.heap_bytes()
+            + self.transpose_pool.heap_bytes()
     }
 
     /// Stashed workspace counts per pool `(plain, fused, pattern)`.

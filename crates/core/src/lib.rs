@@ -7,8 +7,8 @@
 //! * [`layout`] — explicit block layouts ([`Layout`]): the monotone row/col
 //!   cut points of the distribution, uniform by default, movable at run
 //!   time; plus the weighted cut solver [`layout::rebalance_cuts`].
-//! * [`rebalance`] — the metrics-driven [`Rebalancer`]: reads the per-rank
-//!   load gauges the engine publishes each epoch and, past a configurable
+//! * [`rebalance`] — the load-driven [`Rebalancer`]: decides from the
+//!   per-rank nnz loads the engine gathers each step and, past a configurable
 //!   imbalance threshold, migrates block boundaries (stripe
 //!   re-redistribution) to a freshly solved layout.
 //! * [`recovery`] — fault tolerance for engine sessions: per-batch
@@ -52,11 +52,14 @@
 //!   epoch and query it bit-stably while further batches commit — the
 //!   serving interface behind `dspgemm-analytics`.
 //!
-//! Beyond the two per-engine algorithms, [`dyn_algebraic`] and
-//! [`dyn_general`] also export *shared-operand* variants
-//! (`apply_shared_*`) that maintain `C = A · A` for a single dynamic
-//! matrix from a pre-redistributed update matrix — the hook the
-//! `dspgemm-analytics` session uses so one redistribution feeds every
+//! Each core operation has one entry taking the session [`Exec`], whose
+//! `transpose` and `rounds` fields select the ablation arms. Beyond the
+//! two per-engine algorithms, [`dyn_algebraic`] and [`dyn_general`] also
+//! export *shared-operand* entries
+//! ([`dyn_algebraic::apply_shared_algebraic`],
+//! [`dyn_general::apply_shared_general`]) that maintain `C = A · A` for a
+//! single dynamic matrix from a pre-redistributed update matrix — the hook
+//! the `dspgemm-analytics` session uses so one redistribution feeds every
 //! maintained view.
 //!
 //! ## Quick example

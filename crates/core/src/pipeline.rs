@@ -24,11 +24,12 @@ use dspgemm_util::stats::PhaseTimer;
 ///
 /// `Blocking` issues each round's communication immediately before waiting
 /// on it — byte-for-byte the pre-pipelining schedule, kept as the ablation
-/// baseline (`repro overlap`) and for `p = 1` grids where there is nothing
-/// to overlap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// baseline (`repro overlap`). Every round loop reads it from
+/// [`crate::exec::Exec::rounds`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Schedule {
     /// Issue round `k + 1` before computing round `k` (the default).
+    #[default]
     Overlap,
     /// Issue round `k` right before completing round `k`.
     Blocking,

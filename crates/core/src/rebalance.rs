@@ -1,16 +1,17 @@
-//! Metrics-driven inter-rank rebalancing policy.
+//! Load-driven inter-rank rebalancing policy.
 //!
-//! The engine publishes per-rank load gauges (`engine.block_nnz.*`) at every
-//! epoch publish. The [`Rebalancer`] turns that signal into action: when the
-//! max/mean per-rank load imbalance crosses a configurable threshold (and a
-//! cooldown of epochs has passed since the last move), it solves for new cut
-//! points with [`crate::layout::rebalance_cuts`] over the per-stripe load and
-//! the engine migrates every session matrix to the new [`Layout`] through
-//! the two-phase redistribution path — only boundary stripes cross the wire.
+//! The engine gathers each rank's load — local nnz of `A` plus `C` — at
+//! every rebalancing step. The [`Rebalancer`] turns that signal into
+//! action: when the max/mean per-rank load imbalance crosses a configurable
+//! threshold (and a cooldown of epochs has passed since the last move), it
+//! solves for new cut points with [`crate::layout::rebalance_cuts`] over
+//! the per-stripe load and the engine migrates every session matrix to the
+//! new [`Layout`] through the two-phase redistribution path — only boundary
+//! stripes cross the wire.
 //!
 //! The *decision* must be rank-uniform (migration is collective), so the
-//! engine has world rank 0 read the gauges for all ranks from the
-//! process-global registry and broadcast the verdict; see
+//! engine gathers the loads to world rank 0 with a metered collective and
+//! broadcasts the verdict; see
 //! [`crate::engine::DynSpGemm::maybe_rebalance`]. This module holds the pure
 //! policy pieces — testable without a grid.
 
@@ -149,27 +150,6 @@ pub fn stripe_loads(loads: &[u64], q: usize) -> Vec<u64> {
         }
     }
     out
-}
-
-/// Reads the per-rank load gauges the engine publishes at every epoch:
-/// `engine.block_nnz.a.rank{r} + engine.block_nnz.c.rank{r}` for each of the
-/// `p` ranks. (The flop gauges are *cumulative* across epochs, so nnz — the
-/// state actually being migrated — is the balance signal.) Missing gauges
-/// read as zero. The registry is process-global, so any rank can read all
-/// ranks' gauges once a barrier orders the publishes before the read.
-pub fn read_rank_load_gauges(p: usize) -> Vec<u64> {
-    let reg = dspgemm_obs::global();
-    (0..p)
-        .map(|r| {
-            let a = reg
-                .gauge(&format!("engine.block_nnz.a.rank{r}"))
-                .unwrap_or(0.0);
-            let c = reg
-                .gauge(&format!("engine.block_nnz.c.rank{r}"))
-                .unwrap_or(0.0);
-            (a + c) as u64
-        })
-        .collect()
 }
 
 /// The square [`Layout`] a decision migrates to.

@@ -13,13 +13,14 @@
 //! recording contributing inner indices, needed before general dynamic
 //! updates can be applied (Section V-B).
 //!
-//! Both variants run on the pipelined round scheduler
-//! ([`crate::pipeline`]): round `k + 1`'s panel broadcasts are issued
-//! (nonblocking) before round `k`'s local multiply, so their communication
-//! is in flight — and mostly hidden — under the compute. The `*_blocking`
-//! variants keep the serialized schedule as the ablation baseline
-//! (`repro overlap`); both produce bit-identical results and byte-identical
-//! wire volume (enforced by `tests/overlap.rs`).
+//! Both variants run on the round scheduler ([`crate::pipeline`]) under the
+//! session's [`Exec::rounds`]: with [`Schedule::Overlap`] (the default)
+//! round `k + 1`'s panel broadcasts are issued (nonblocking) before round
+//! `k`'s local multiply, so their communication is in flight — and mostly
+//! hidden — under the compute; [`Schedule::Blocking`] keeps the serialized
+//! schedule as the ablation baseline (`repro overlap`). Both produce
+//! bit-identical results and byte-identical wire volume (enforced by
+//! `tests/overlap.rs`).
 
 use crate::distmat::DistMat;
 use crate::exec::Exec;
@@ -27,7 +28,7 @@ use crate::grid::Grid;
 use crate::phase;
 use crate::pipeline::{await_into_phase, run_rounds, Schedule};
 use dspgemm_mpi::Request;
-use dspgemm_sparse::local_mm::{spgemm_bloom_with, spgemm_with};
+use dspgemm_sparse::local_mm::{spgemm_bloom_with, spgemm_with, MmOutput};
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::{Csr, Dcsr, RowScan};
 use dspgemm_util::stats::PhaseTimer;
@@ -117,8 +118,92 @@ fn complete_panels<V: Send + Sync + dspgemm_util::WireSize + dspgemm_util::WireD
     }
 }
 
-/// Computes `C = A · B` with sparse SUMMA on the pipelined (overlapping)
-/// schedule. Collective over the grid.
+/// Accumulates one partial-product block into `C` with the semiring
+/// addition and, when `f` is given, ORs each entry's Bloom bits into `F`.
+/// `split` separates a payload into `(value, bits)`. A block empty on this
+/// rank leaves `C` and `F` — and their cached snapshot images — untouched,
+/// so the next published epoch re-shares them copy-on-write. Local-only;
+/// every SpGEMM path that adds into `C` goes through here.
+pub(crate) fn accumulate<S: Semiring, V: Copy>(
+    part: &Dcsr<V>,
+    c: &mut DistMat<S::Elem>,
+    f: Option<&mut DistMat<u64>>,
+    split: impl Fn(V) -> (S::Elem, u64),
+) {
+    if part.nnz() == 0 {
+        return;
+    }
+    let c_block = c.block_mut();
+    match f {
+        Some(f) => {
+            let f_block = f.block_mut();
+            part.scan_rows(|r, cols, vals| {
+                for (&cc, &v) in cols.iter().zip(vals) {
+                    let (v, bits) = split(v);
+                    c_block.add_entry::<S>(r, cc, v);
+                    f_block.combine_entry(r, cc, bits, |x, y| x | y);
+                }
+            });
+        }
+        None => part.scan_rows(|r, cols, vals| {
+            for (&cc, &v) in cols.iter().zip(vals) {
+                c_block.add_entry::<S>(r, cc, split(v).0);
+            }
+        }),
+    }
+}
+
+/// The SUMMA rounds shared by [`summa`] and [`summa_bloom`]: `mul(A_blk,
+/// B_blk, k)` is the local kernel, `split` its payload's `(value, bits)`;
+/// `F` is built alongside `C` when `track`. Collective over the grid.
+#[allow(clippy::too_many_arguments)]
+fn summa_rounds<S: Semiring, V: Copy>(
+    grid: &Grid,
+    a: &DistMat<S::Elem>,
+    b: &DistMat<S::Elem>,
+    exec: &Exec<S>,
+    timer: &mut PhaseTimer,
+    track: bool,
+    mul: impl Fn(&Csr<S::Elem>, &Csr<S::Elem>, usize) -> MmOutput<V>,
+    split: impl Fn(V) -> (S::Elem, u64),
+) -> (DistMat<S::Elem>, Option<DistMat<u64>>, u64) {
+    assert!(
+        a.info().layout().conformal_inner(b.info().layout()),
+        "SUMMA contraction needs A's column cuts to equal B's row cuts"
+    );
+    let q = grid.q();
+    let schedule = exec.rounds;
+    let c_layout = Arc::new(a.info().layout().product(b.info().layout()));
+    let mut c = DistMat::empty_in(grid, &c_layout);
+    let mut f = track.then(|| DistMat::empty_in(grid, &c_layout));
+    // One CSR snapshot per operand; the √p broadcast rounds then move only
+    // `Arc` handles — zero payload copies in-process, identical wire volume.
+    let a_local: Arc<Csr<S::Elem>> = a.block_csr_shared();
+    let b_local: Arc<Csr<S::Elem>> = b.block_csr_shared();
+    let mut flops = 0u64;
+    run_rounds(
+        &mut (timer, &mut c, &mut f, &mut flops),
+        q,
+        schedule,
+        |_ctx, k| issue_panels(grid, k, &a_local, &b_local, schedule),
+        |ctx, k, flight: PanelFlight<S::Elem>| {
+            complete_panels(grid, k, &a_local, &b_local, flight, ctx.0)
+        },
+        |ctx, k, (a_blk, b_blk)| {
+            let (timer, c, f, flops) = ctx;
+            let partial = timer.time(phase::LOCAL_MULT, || mul(&a_blk, &b_blk, k));
+            timer.add_thread_flops(&partial.thread_flops);
+            **flops += partial.flops;
+            timer.time(phase::LOCAL_UPDATE, || {
+                accumulate::<S, V>(&partial.result, c, f.as_mut(), &split)
+            });
+        },
+    );
+    (c, f, flops)
+}
+
+/// Computes `C = A · B` with sparse SUMMA under `exec` (pooled workspaces,
+/// row schedule, round schedule). Collective over the grid.
 ///
 /// Returns the result as a dynamic distributed matrix (ready for dynamic
 /// updates) plus the local flop count.
@@ -126,83 +211,18 @@ pub fn summa<S: Semiring>(
     grid: &Grid,
     a: &DistMat<S::Elem>,
     b: &DistMat<S::Elem>,
-    threads: usize,
-    timer: &mut PhaseTimer,
-) -> (DistMat<S::Elem>, u64) {
-    summa_exec::<S>(grid, a, b, &Exec::new(threads), timer)
-}
-
-/// [`summa`] under an explicit [`Exec`] (persistent workspace pools + row
-/// schedule): the engine/session entry point — pooled buffers live across
-/// rounds *and* across calls.
-pub fn summa_exec<S: Semiring>(
-    grid: &Grid,
-    a: &DistMat<S::Elem>,
-    b: &DistMat<S::Elem>,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> (DistMat<S::Elem>, u64) {
-    summa_with::<S>(grid, a, b, exec, timer, Schedule::Overlap)
-}
-
-/// [`summa`] on the serialized schedule (each round's broadcast completes
-/// before its multiply) — the pre-pipelining baseline kept for the
-/// `repro overlap` ablation. Bit-identical result, byte-identical wire
-/// volume; only the exposed/overlapped split of communication time differs.
-pub fn summa_blocking<S: Semiring>(
-    grid: &Grid,
-    a: &DistMat<S::Elem>,
-    b: &DistMat<S::Elem>,
-    threads: usize,
-    timer: &mut PhaseTimer,
-) -> (DistMat<S::Elem>, u64) {
-    summa_with::<S>(grid, a, b, &Exec::new(threads), timer, Schedule::Blocking)
-}
-
-fn summa_with<S: Semiring>(
-    grid: &Grid,
-    a: &DistMat<S::Elem>,
-    b: &DistMat<S::Elem>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-    schedule: Schedule,
-) -> (DistMat<S::Elem>, u64) {
-    assert!(
-        a.info().layout().conformal_inner(b.info().layout()),
-        "SUMMA contraction needs A's column cuts to equal B's row cuts"
-    );
-    let q = grid.q();
-    let c_layout = Arc::new(a.info().layout().product(b.info().layout()));
-    let mut c = DistMat::empty_in(grid, &c_layout);
-    // One CSR snapshot per operand; the √p broadcast rounds then move only
-    // `Arc` handles — zero payload copies in-process, identical wire volume.
-    let a_local: Arc<Csr<S::Elem>> = a.block_csr_shared();
-    let b_local: Arc<Csr<S::Elem>> = b.block_csr_shared();
-    let mut flops = 0u64;
-    run_rounds(
-        &mut (timer, &mut c, &mut flops),
-        q,
-        schedule,
-        |_ctx, k| issue_panels(grid, k, &a_local, &b_local, schedule),
-        |ctx, k, flight: PanelFlight<S::Elem>| {
-            complete_panels(grid, k, &a_local, &b_local, flight, ctx.0)
-        },
-        |ctx, _k, (a_blk, b_blk)| {
-            let (timer, c, flops) = ctx;
-            let partial = timer.time(phase::LOCAL_MULT, || {
-                spgemm_with::<S, _, _>(&*a_blk, &*b_blk, exec.plain())
-            });
-            timer.add_thread_flops(&partial.thread_flops);
-            **flops += partial.flops;
-            timer.time(phase::LOCAL_UPDATE, || {
-                let block = c.block_mut();
-                partial.result.scan_rows(|r, cols, vals| {
-                    for (&cc, &v) in cols.iter().zip(vals) {
-                        block.add_entry::<S>(r, cc, v);
-                    }
-                });
-            });
-        },
+    let (c, _, flops) = summa_rounds::<S, S::Elem>(
+        grid,
+        a,
+        b,
+        exec,
+        timer,
+        false,
+        |a_blk, b_blk, _k| spgemm_with::<S, _, _>(a_blk, b_blk, exec.plain()),
+        |v| (v, 0),
     );
     (c, flops)
 }
@@ -226,18 +246,6 @@ fn summa_with<S: Semiring>(
 /// `summa(Aᵀ materialized, B)` bit for bit (asserted by the parity test);
 /// floating-point sums may differ by rounding only.
 pub fn summa_transposed<S: Semiring>(
-    grid: &Grid,
-    a: &DistMat<S::Elem>,
-    b: &DistMat<S::Elem>,
-    threads: usize,
-    timer: &mut PhaseTimer,
-) -> (DistMat<S::Elem>, u64) {
-    summa_transposed_exec::<S>(grid, a, b, &Exec::new(threads), timer)
-}
-
-/// [`summa_transposed`] under an explicit [`Exec`] (pooled transposition
-/// and kernel workspaces).
-pub fn summa_transposed_exec<S: Semiring>(
     grid: &Grid,
     a: &DistMat<S::Elem>,
     b: &DistMat<S::Elem>,
@@ -269,7 +277,7 @@ pub fn summa_transposed_exec<S: Semiring>(
     run_rounds(
         &mut (timer, &mut c, &mut flops),
         q,
-        Schedule::Overlap,
+        exec.rounds,
         |_ctx, k| {
             grid.row_comm().ibcast_shared(
                 k,
@@ -295,12 +303,7 @@ pub fn summa_transposed_exec<S: Semiring>(
             if let Some(mine) = red {
                 debug_assert_eq!(i, k);
                 timer.time(phase::LOCAL_UPDATE, || {
-                    let block = c.block_mut();
-                    mine.scan_rows(|r, cols, vals| {
-                        for (&cc, &v) in cols.iter().zip(vals) {
-                            block.add_entry::<S>(r, cc, v);
-                        }
-                    });
+                    accumulate::<S, S::Elem>(&mine, c, None, |v| (v, 0))
                 });
             }
         },
@@ -310,93 +313,29 @@ pub fn summa_transposed_exec<S: Semiring>(
 
 /// SUMMA fused with Bloom-filter tracking: returns `(C, F, flops)` where
 /// `F` holds, per non-zero of `C`, the ℓ=64-bit bitfield of contributing
-/// inner indices (bit `k mod 64`). Pipelined schedule.
+/// inner indices (bit `k mod 64`). Collective over the grid.
 pub fn summa_bloom<S: Semiring>(
     grid: &Grid,
     a: &DistMat<S::Elem>,
     b: &DistMat<S::Elem>,
-    threads: usize,
-    timer: &mut PhaseTimer,
-) -> (DistMat<S::Elem>, DistMat<u64>, u64) {
-    summa_bloom_exec::<S>(grid, a, b, &Exec::new(threads), timer)
-}
-
-/// [`summa_bloom`] under an explicit [`Exec`] (see [`summa_exec`]).
-pub fn summa_bloom_exec<S: Semiring>(
-    grid: &Grid,
-    a: &DistMat<S::Elem>,
-    b: &DistMat<S::Elem>,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> (DistMat<S::Elem>, DistMat<u64>, u64) {
-    summa_bloom_with::<S>(grid, a, b, exec, timer, Schedule::Overlap)
-}
-
-/// [`summa_bloom`] on the serialized schedule (the `repro overlap`
-/// baseline; see [`summa_blocking`]).
-pub fn summa_bloom_blocking<S: Semiring>(
-    grid: &Grid,
-    a: &DistMat<S::Elem>,
-    b: &DistMat<S::Elem>,
-    threads: usize,
-    timer: &mut PhaseTimer,
-) -> (DistMat<S::Elem>, DistMat<u64>, u64) {
-    summa_bloom_with::<S>(grid, a, b, &Exec::new(threads), timer, Schedule::Blocking)
-}
-
-fn summa_bloom_with<S: Semiring>(
-    grid: &Grid,
-    a: &DistMat<S::Elem>,
-    b: &DistMat<S::Elem>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-    schedule: Schedule,
-) -> (DistMat<S::Elem>, DistMat<u64>, u64) {
-    assert!(
-        a.info().layout().conformal_inner(b.info().layout()),
-        "SUMMA contraction needs A's column cuts to equal B's row cuts"
-    );
-    let q = grid.q();
-    let c_layout = Arc::new(a.info().layout().product(b.info().layout()));
-    let mut c = DistMat::empty_in(grid, &c_layout);
-    let mut f = DistMat::empty_in(grid, &c_layout);
-    let a_local: Arc<Csr<S::Elem>> = a.block_csr_shared();
-    let b_local: Arc<Csr<S::Elem>> = b.block_csr_shared();
-    let mut flops = 0u64;
-    run_rounds(
-        &mut (timer, &mut c, &mut f, &mut flops),
-        q,
-        schedule,
-        |_ctx, k| issue_panels(grid, k, &a_local, &b_local, schedule),
-        |ctx, k, flight: PanelFlight<S::Elem>| {
-            complete_panels(grid, k, &a_local, &b_local, flight, ctx.0)
-        },
-        |ctx, k, (a_blk, b_blk)| {
-            let (timer, c, f, flops) = ctx;
-            // Bloom bits index the *global* inner dimension.
+    let (c, f, flops) = summa_rounds::<S, (S::Elem, u64)>(
+        grid,
+        a,
+        b,
+        exec,
+        timer,
+        true,
+        // Bloom bits index the *global* inner dimension.
+        |a_blk, b_blk, k| {
             let k_offset = a.info().layout().col_start(k);
-            let partial = timer.time(phase::LOCAL_MULT, || {
-                spgemm_bloom_with::<S, _, _>(&*a_blk, &*b_blk, k_offset, exec.fused())
-            });
-            timer.add_thread_flops(&partial.thread_flops);
-            **flops += partial.flops;
-            timer.time(phase::LOCAL_UPDATE, || {
-                let c_block = c.block_mut();
-                partial.result.scan_rows(|r, cols, vals| {
-                    for (&cc, &(v, _)) in cols.iter().zip(vals) {
-                        c_block.add_entry::<S>(r, cc, v);
-                    }
-                });
-                let f_block = f.block_mut();
-                partial.result.scan_rows(|r, cols, vals| {
-                    for (&cc, &(_, bits)) in cols.iter().zip(vals) {
-                        f_block.combine_entry(r, cc, bits, |x, y| x | y);
-                    }
-                });
-            });
+            spgemm_bloom_with::<S, _, _>(a_blk, b_blk, k_offset, exec.fused())
         },
+        |x| x,
     );
-    (c, f, flops)
+    (c, f.expect("tracked SUMMA builds F"), flops)
 }
 
 #[cfg(test)]
@@ -451,7 +390,7 @@ mod tests {
                 };
                 let a = DistMat::from_global_triples(&grid, n, n, feed(&a_ref), 2, &mut timer);
                 let b = DistMat::from_global_triples(&grid, n, n, feed(&b_ref), 2, &mut timer);
-                let (c, flops) = summa::<U64Plus>(&grid, &a, &b, 2, &mut timer);
+                let (c, flops) = summa::<U64Plus>(&grid, &a, &b, &Exec::new(2), &mut timer);
                 (c.gather_to_root(comm), flops)
             });
             let da = Dense::from_triples::<U64Plus>(n, n, &dedup_last(&a_t, n));
@@ -476,7 +415,7 @@ mod tests {
                 vec![]
             };
             let a = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-            let (c, _) = summa::<MinPlus>(&grid, &a, &a, 1, &mut timer);
+            let (c, _) = summa::<MinPlus>(&grid, &a, &a, &Exec::new(1), &mut timer);
             c.gather_to_root(comm)
         });
         let got = out.results[0].as_ref().unwrap();
@@ -516,9 +455,10 @@ mod tests {
                     DistMat::from_global_triples(&grid, nr, nc, feed(90, nr, nc), 1, &mut timer);
                 let b =
                     DistMat::from_global_triples(&grid, nr, nc, feed(91, nr, nc), 1, &mut timer);
-                let (c_virt, flops) = summa_transposed::<U64Plus>(&grid, &a, &b, 1, &mut timer);
+                let (c_virt, flops) =
+                    summa_transposed::<U64Plus>(&grid, &a, &b, &Exec::new(1), &mut timer);
                 let at = a.transposed(&grid, 1);
-                let (c_mat, _) = summa::<U64Plus>(&grid, &at, &b, 1, &mut timer);
+                let (c_mat, _) = summa::<U64Plus>(&grid, &at, &b, &Exec::new(1), &mut timer);
                 assert_eq!(c_virt.info().nrows, nc);
                 assert_eq!(c_virt.info().ncols, nc);
                 (
@@ -550,7 +490,7 @@ mod tests {
             };
             let a = DistMat::from_global_triples(&grid, n, n, a_t, 1, &mut timer);
             let b = DistMat::from_global_triples(&grid, n, n, b_t, 1, &mut timer);
-            let (c, f, _) = summa_bloom::<U64Plus>(&grid, &a, &b, 1, &mut timer);
+            let (c, f, _) = summa_bloom::<U64Plus>(&grid, &a, &b, &Exec::new(1), &mut timer);
             // F and C have identical patterns; every F value is non-zero.
             let ct = c.to_global_triples();
             let ft = f.to_global_triples();
@@ -560,7 +500,7 @@ mod tests {
                 assert_ne!(fe.val, 0);
             }
             // C itself matches the plain SUMMA result.
-            let (c2, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
+            let (c2, _) = summa::<U64Plus>(&grid, &a, &b, &Exec::new(1), &mut timer);
             assert_eq!(c.gather_to_root(comm), c2.gather_to_root(comm));
             true
         });
@@ -579,7 +519,7 @@ mod tests {
                 vec![]
             };
             let a = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-            let (c, _) = summa::<U64Plus>(&grid, &a, &a, 1, &mut timer);
+            let (c, _) = summa::<U64Plus>(&grid, &a, &a, &Exec::new(1), &mut timer);
             c.local_nnz()
         });
         let big = run(4, move |comm| {
@@ -591,7 +531,7 @@ mod tests {
                 vec![]
             };
             let a = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-            let (c, _) = summa::<U64Plus>(&grid, &a, &a, 1, &mut timer);
+            let (c, _) = summa::<U64Plus>(&grid, &a, &a, &Exec::new(1), &mut timer);
             c.local_nnz()
         });
         use dspgemm_mpi::CommCategory;

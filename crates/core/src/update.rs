@@ -4,20 +4,12 @@
 //!
 //! 1. ranks hold arbitrary update tuples with global indices;
 //! 2. [`build_update_matrix`] redistributes them (two-phase counting-sort
-//!    alltoall) and assembles this rank's block of the hypersparse update
-//!    matrix `A*` in DCSR layout;
+//!    alltoall) under the target matrix's layout and assembles this rank's
+//!    block of the hypersparse update matrix `A*` in DCSR layout;
 //! 3. one of the *purely local* application operators finishes the job —
-//!    [`apply_add_exec`] (`A += A*`), [`apply_merge_exec`] (`MERGE`), or
-//!    [`apply_mask_exec`] (`MASK`) — each parallelized over the shards of
-//!    the session [`Exec`](crate::exec::Exec) by `row mod T`.
-//!
-//! The `_exec` operators are the primary entry points: the engine, the
-//! analytics session and the pipelined SpGEMM paths all drive application
-//! through a session [`Exec`](crate::exec::Exec) so one configuration
-//! object carries the thread count (and, for the kernels, the row schedule
-//! and pooled workspaces) everywhere. The bare-`threads` forms
-//! ([`apply_add`], [`apply_merge`], [`apply_mask`]) survive as thin
-//! conveniences for tests and one-off callers that have no session.
+//!    [`apply_add`] (`A += A*`), [`apply_merge`] (`MERGE`), or
+//!    [`apply_mask`] (`MASK`) — each parallelized over the shards of the
+//!    session [`Exec`] by `row mod T`.
 //!
 //! An update matrix empty on this rank is applied as a guaranteed no-op
 //! that leaves the dynamic block — and its cached snapshot image —
@@ -25,8 +17,9 @@
 //! copy-on-write (see [`crate::snapshot`]).
 
 use crate::distmat::{DistDcsr, DistMat, Elem};
+use crate::exec::Exec;
 use crate::grid::Grid;
-use crate::layout::{uniform_layout, Layout};
+use crate::layout::Layout;
 use crate::redistribute::{phase, redistribute_finish_in, redistribute_start_in, InflightRedist};
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::{dhb::DhbRow, Dcsr, DhbMatrix, Index, Triple};
@@ -76,8 +69,9 @@ fn assemble_update_block<S: Semiring>(
 
 /// An update-matrix build whose first redistribution phase is in flight
 /// (see [`crate::redistribute::redistribute_start`]). Produced by
-/// [`start_update_matrix`], completed by [`PendingUpdateMatrix::finish`] —
-/// the unit the engine's depth-1 lookahead queues.
+/// [`start_update_matrix`], completed by [`PendingUpdateMatrix::finish`];
+/// the engine's depth-1 lookahead queues one or two per operand inside a
+/// [`crate::dyn_algebraic::PendingStar`].
 pub struct PendingUpdateMatrix<S: Semiring> {
     layout: Arc<Layout>,
     dedup: Dedup,
@@ -94,30 +88,10 @@ impl<S: Semiring> PendingUpdateMatrix<S> {
 }
 
 /// Issues the first redistribution phase of an update-matrix build
-/// nonblocking and returns the pending handle, routing and assembling under
-/// the uniform layout. Collective over the grid (same issue order on every
-/// rank).
+/// nonblocking and returns the pending handle. Update matrices route under
+/// the layout of the matrix they apply to (possibly rebalanced). Collective
+/// over the grid (same issue order on every rank).
 pub fn start_update_matrix<S: Semiring>(
-    grid: &Grid,
-    nrows: Index,
-    ncols: Index,
-    tuples: Vec<Triple<S::Elem>>,
-    dedup: Dedup,
-    timer: &mut PhaseTimer,
-) -> PendingUpdateMatrix<S> {
-    start_update_matrix_in::<S>(
-        grid,
-        &uniform_layout(nrows, ncols, grid.q()),
-        tuples,
-        dedup,
-        timer,
-    )
-}
-
-/// [`start_update_matrix`] under an explicit layout — the form the engine
-/// uses so update matrices always match the (possibly rebalanced) layout of
-/// the matrix they apply to.
-pub fn start_update_matrix_in<S: Semiring>(
     grid: &Grid,
     layout: &Arc<Layout>,
     tuples: Vec<Triple<S::Elem>>,
@@ -134,140 +108,18 @@ pub fn start_update_matrix_in<S: Semiring>(
 }
 
 /// Redistributes globally-indexed update tuples and assembles this rank's
-/// hypersparse `A*` block under the uniform layout. Collective over the
-/// grid. Composed as [`start_update_matrix`] + [`PendingUpdateMatrix::finish`],
+/// hypersparse `A*` block under `layout`. Collective over the grid.
+/// Composed as [`start_update_matrix`] + [`PendingUpdateMatrix::finish`],
 /// so the sequential path and the engine's inter-batch lookahead share one
 /// code path (byte-identical wire traffic).
 pub fn build_update_matrix<S: Semiring>(
     grid: &Grid,
-    nrows: Index,
-    ncols: Index,
-    tuples: Vec<Triple<S::Elem>>,
-    dedup: Dedup,
-    timer: &mut PhaseTimer,
-) -> DistDcsr<S::Elem> {
-    start_update_matrix::<S>(grid, nrows, ncols, tuples, dedup, timer).finish(grid, timer)
-}
-
-/// [`build_update_matrix`] under an explicit layout.
-pub fn build_update_matrix_in<S: Semiring>(
-    grid: &Grid,
     layout: &Arc<Layout>,
     tuples: Vec<Triple<S::Elem>>,
     dedup: Dedup,
     timer: &mut PhaseTimer,
 ) -> DistDcsr<S::Elem> {
-    start_update_matrix_in::<S>(grid, layout, tuples, dedup, timer).finish(grid, timer)
-}
-
-/// The natural- and transposed-layout builds of one update matrix — what
-/// the virtual-transposition rounds of Section V-C consume.
-///
-/// `natural` is the standard `A*` (rank `(i, j)` holds `A*_{i,j}`; the
-/// local `A += A*` application needs this layout). `transposed` is
-/// `(A*)ᵀ` built by routing the *flipped* tuples through the same two-phase
-/// redistribution with swapped dimensions, so rank `(i, j)` holds
-/// `(A*_{j,i})ᵀ` — exactly the block it would have received from its
-/// transposed peer in Algorithm 1's point-to-point exchange, already
-/// transposed. A purely local counting-sort transposition
-/// ([`Dcsr::transpose_into`]) recovers the broadcast payload `A*_{j,i}`
-/// bit-for-bit, and the `TAG_AT`/`TAG_BT`/`TAG_SHARED` wire exchange
-/// disappears.
-#[derive(Debug, Clone)]
-pub struct StarPair<V> {
-    /// The natural-layout update matrix (`A*_{i,j}` at rank `(i, j)`).
-    pub natural: DistDcsr<V>,
-    /// The transposed-layout build (`(A*_{j,i})ᵀ` at rank `(i, j)`).
-    pub transposed: DistDcsr<V>,
-}
-
-/// A [`StarPair`] build with both first redistribution phases in flight.
-/// Produced by [`start_update_matrix_pair`].
-pub struct PendingStarPair<S: Semiring> {
-    natural: PendingUpdateMatrix<S>,
-    transposed: PendingUpdateMatrix<S>,
-}
-
-impl<S: Semiring> PendingStarPair<S> {
-    /// Completes both builds. Collective over the grid.
-    pub fn finish(self, grid: &Grid, timer: &mut PhaseTimer) -> StarPair<S::Elem> {
-        StarPair {
-            natural: self.natural.finish(grid, timer),
-            transposed: self.transposed.finish(grid, timer),
-        }
-    }
-}
-
-/// Issues the first redistribution phase of both layouts of one update
-/// matrix (natural tuples, then flipped tuples with swapped dimensions) and
-/// returns the pending pair. The two `IALLTOALLV`s cross the wire
-/// concurrently. Collective over the grid.
-pub fn start_update_matrix_pair<S: Semiring>(
-    grid: &Grid,
-    nrows: Index,
-    ncols: Index,
-    tuples: Vec<Triple<S::Elem>>,
-    dedup: Dedup,
-    timer: &mut PhaseTimer,
-) -> PendingStarPair<S> {
-    start_update_matrix_pair_in::<S>(
-        grid,
-        &uniform_layout(nrows, ncols, grid.q()),
-        tuples,
-        dedup,
-        timer,
-    )
-}
-
-/// [`start_update_matrix_pair`] under an explicit layout; the transposed
-/// build routes under [`Layout::transposed`].
-pub fn start_update_matrix_pair_in<S: Semiring>(
-    grid: &Grid,
-    layout: &Arc<Layout>,
-    tuples: Vec<Triple<S::Elem>>,
-    dedup: Dedup,
-    timer: &mut PhaseTimer,
-) -> PendingStarPair<S> {
-    // Flip (r, c, v) → (c, r, v) *before* routing: the transposed layout is
-    // an ordinary update-matrix build of the flipped entry set. Stable
-    // sorting + dedup then reproduce the exact values of the natural build
-    // (same input order, same fold order), so the two layouts are exact
-    // transposes of each other entry-for-entry.
-    let flipped: Vec<Triple<S::Elem>> = tuples
-        .iter()
-        .map(|t| Triple::new(t.col, t.row, t.val))
-        .collect();
-    let natural = start_update_matrix_in::<S>(grid, layout, tuples, dedup, timer);
-    let transposed =
-        start_update_matrix_in::<S>(grid, &Arc::new(layout.transposed()), flipped, dedup, timer);
-    PendingStarPair {
-        natural,
-        transposed,
-    }
-}
-
-/// Builds both layouts of one update matrix (see [`StarPair`]). Collective
-/// over the grid.
-pub fn build_update_matrix_pair<S: Semiring>(
-    grid: &Grid,
-    nrows: Index,
-    ncols: Index,
-    tuples: Vec<Triple<S::Elem>>,
-    dedup: Dedup,
-    timer: &mut PhaseTimer,
-) -> StarPair<S::Elem> {
-    start_update_matrix_pair::<S>(grid, nrows, ncols, tuples, dedup, timer).finish(grid, timer)
-}
-
-/// [`build_update_matrix_pair`] under an explicit layout.
-pub fn build_update_matrix_pair_in<S: Semiring>(
-    grid: &Grid,
-    layout: &Arc<Layout>,
-    tuples: Vec<Triple<S::Elem>>,
-    dedup: Dedup,
-    timer: &mut PhaseTimer,
-) -> StarPair<S::Elem> {
-    start_update_matrix_pair_in::<S>(grid, layout, tuples, dedup, timer).finish(grid, timer)
+    start_update_matrix::<S>(grid, layout, tuples, dedup, timer).finish(grid, timer)
 }
 
 /// One stored row of an update block borrowed for application:
@@ -345,63 +197,30 @@ fn apply_update_matrix<S: Semiring>(
     mat.block_mut().recount_nnz();
 }
 
-/// [`apply_add_exec`] with a bare thread count (test/one-off convenience;
-/// sessions use the `_exec` form). Local-only.
-pub fn apply_add<S: Semiring>(mat: &mut DistMat<S::Elem>, upd: &DistDcsr<S::Elem>, threads: usize) {
-    apply_update_matrix::<S>(mat, upd, ApplyOp::Add, threads);
-}
-
-/// `A += A*` over the semiring addition (algebraic updates), driven by a
-/// session [`Exec`](crate::exec::Exec) — the engine's path: one
-/// configuration object carries the thread count through kernels and apply
-/// operators alike. Local-only.
-pub fn apply_add_exec<S: Semiring>(
-    mat: &mut DistMat<S::Elem>,
-    upd: &DistDcsr<S::Elem>,
-    exec: &crate::exec::Exec<S>,
-) {
-    apply_add::<S>(mat, upd, exec.threads);
-}
-
-/// [`apply_merge_exec`] with a bare thread count (test/one-off
-/// convenience). Local-only.
-pub fn apply_merge<S: Semiring>(
-    mat: &mut DistMat<S::Elem>,
-    upd: &DistDcsr<S::Elem>,
-    threads: usize,
-) {
-    apply_update_matrix::<S>(mat, upd, ApplyOp::Merge, threads);
+/// `A += A*` over the semiring addition (algebraic updates), with
+/// `exec.threads` shards. Local-only.
+pub fn apply_add<S: Semiring>(mat: &mut DistMat<S::Elem>, upd: &DistDcsr<S::Elem>, exec: &Exec<S>) {
+    apply_update_matrix::<S>(mat, upd, ApplyOp::Add, exec.threads);
 }
 
 /// `MERGE(A, A*)`: replaces the value of every position non-zero in `A*`
-/// (inserting new entries), driven by a session
-/// [`Exec`](crate::exec::Exec). Local-only.
-pub fn apply_merge_exec<S: Semiring>(
+/// (inserting new entries), with `exec.threads` shards. Local-only.
+pub fn apply_merge<S: Semiring>(
     mat: &mut DistMat<S::Elem>,
     upd: &DistDcsr<S::Elem>,
-    exec: &crate::exec::Exec<S>,
+    exec: &Exec<S>,
 ) {
-    apply_merge::<S>(mat, upd, exec.threads);
-}
-
-/// [`apply_mask_exec`] with a bare thread count (test/one-off
-/// convenience). Local-only.
-pub fn apply_mask<S: Semiring>(
-    mat: &mut DistMat<S::Elem>,
-    upd: &DistDcsr<S::Elem>,
-    threads: usize,
-) {
-    apply_update_matrix::<S>(mat, upd, ApplyOp::Mask, threads);
+    apply_update_matrix::<S>(mat, upd, ApplyOp::Merge, exec.threads);
 }
 
 /// `MASK(A, A*)`: deletes every position of `A` that is non-zero in `A*`,
-/// driven by a session [`Exec`](crate::exec::Exec). Local-only.
-pub fn apply_mask_exec<S: Semiring>(
+/// with `exec.threads` shards. Local-only.
+pub fn apply_mask<S: Semiring>(
     mat: &mut DistMat<S::Elem>,
     upd: &DistDcsr<S::Elem>,
-    exec: &crate::exec::Exec<S>,
+    exec: &Exec<S>,
 ) {
-    apply_mask::<S>(mat, upd, exec.threads);
+    apply_update_matrix::<S>(mat, upd, ApplyOp::Mask, exec.threads);
 }
 
 /// Inserts block-local triples into a DHB block with `(row mod T)`
@@ -446,6 +265,7 @@ pub fn apply_local_triples_set<V: Elem>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::uniform_layout;
     use dspgemm_mpi::run;
     use dspgemm_sparse::semiring::U64Plus;
     use dspgemm_util::rng::{Rng, SplitMix64};
@@ -513,12 +333,17 @@ mod tests {
                 } else {
                     Dedup::LastWins
                 };
-                let upd =
-                    build_update_matrix::<U64Plus>(&grid, N, N, mine.clone(), dedup, &mut timer);
+                let upd = build_update_matrix::<U64Plus>(
+                    &grid,
+                    mat.info().layout(),
+                    mine.clone(),
+                    dedup,
+                    &mut timer,
+                );
                 match op {
-                    "add" => apply_add::<U64Plus>(&mut mat, &upd, 3),
-                    "merge" => apply_merge::<U64Plus>(&mut mat, &upd, 3),
-                    "mask" => apply_mask::<U64Plus>(&mut mat, &upd, 3),
+                    "add" => apply_add::<U64Plus>(&mut mat, &upd, &Exec::new(3)),
+                    "merge" => apply_merge::<U64Plus>(&mut mat, &upd, &Exec::new(3)),
+                    "mask" => apply_mask::<U64Plus>(&mut mat, &upd, &Exec::new(3)),
                     _ => unreachable!(),
                 }
                 all_batches.push(mine);
@@ -608,8 +433,13 @@ mod tests {
             } else {
                 vec![]
             };
-            let upd =
-                build_update_matrix::<U64Plus>(&grid, N, N, mine, Dedup::LastWins, &mut timer);
+            let upd = build_update_matrix::<U64Plus>(
+                &grid,
+                &uniform_layout(N, N, grid.q()),
+                mine,
+                Dedup::LastWins,
+                &mut timer,
+            );
             (upd.local_nnz(), upd.global_nnz(&grid))
         });
         assert!(out.results.iter().all(|&(_, g)| g == 2));

@@ -3,7 +3,6 @@
 //! replacement from its buddy's replica, and deterministic replay makes the
 //! final state bit-identical to the fault-free execution.
 
-use dspgemm_core::dyn_algebraic::TransposeMode;
 use dspgemm_core::engine::DynSpGemm;
 use dspgemm_core::exec::Exec;
 use dspgemm_core::recovery::RecoveryConfig;
@@ -113,12 +112,8 @@ fn drive(comm: &Comm, batches: u64, crash: Option<(usize, u64)>, cfg: RecoveryCo
             Err(CommError::Crashed { rank }) => {
                 assert_eq!(rank, me);
                 drop(e); // the crashed session is unrecoverable state
-                let (e2, report) = DynSpGemm::<U64Plus>::recover_as_replacement(
-                    &grid,
-                    Exec::new(1),
-                    TransposeMode::default(),
-                    cfg,
-                );
+                let (e2, report) =
+                    DynSpGemm::<U64Plus>::recover_as_replacement(&grid, Exec::new(1), cfg);
                 assert_eq!(report.failed_ranks, vec![me]);
                 recoveries += 1;
                 b_idx = report.committed_publishes - 1;

@@ -5,9 +5,11 @@
 //! counts.
 
 use dspgemm_core::grid::{block_range, owner_block, Grid};
+use dspgemm_core::layout::uniform_layout;
 use dspgemm_core::redistribute::redistribute;
 use dspgemm_core::update::{apply_add, build_update_matrix, Dedup};
 use dspgemm_core::DistMat;
+use dspgemm_core::Exec;
 use dspgemm_mpi::run;
 use dspgemm_sparse::semiring::U64Plus;
 use dspgemm_sparse::{Index, Triple};
@@ -62,8 +64,14 @@ fn all_tuples_concentrated_in_one_block() {
             .map(|k| Triple::new(target, target - k, 1 + comm.rank() as u64))
             .collect();
         let mut mat = DistMat::<u64>::empty(&grid, n, n);
-        let upd = build_update_matrix::<U64Plus>(&grid, n, n, mine, Dedup::Add, &mut timer);
-        apply_add::<U64Plus>(&mut mat, &upd, 2);
+        let upd = build_update_matrix::<U64Plus>(
+            &grid,
+            &uniform_layout(n, n, grid.q()),
+            mine,
+            Dedup::Add,
+            &mut timer,
+        );
+        apply_add::<U64Plus>(&mut mat, &upd, &Exec::new(2));
         (upd.local_nnz(), mat.local_nnz(), upd.global_nnz(&grid))
     });
     // Exactly one rank owns every tuple; the per-coordinate dedup summed
@@ -141,8 +149,14 @@ fn empty_batches_everywhere_build_valid_empty_updates() {
             &mut timer,
         );
         let before = mat.snapshot_csr();
-        let upd = build_update_matrix::<U64Plus>(&grid, n, n, vec![], Dedup::Add, &mut timer);
-        apply_add::<U64Plus>(&mut mat, &upd, 2);
+        let upd = build_update_matrix::<U64Plus>(
+            &grid,
+            &uniform_layout(n, n, grid.q()),
+            vec![],
+            Dedup::Add,
+            &mut timer,
+        );
+        apply_add::<U64Plus>(&mut mat, &upd, &Exec::new(2));
         // The no-op apply left the cached snapshot image untouched: the
         // next publish re-shares the same `Arc` (COW) instead of
         // reconverting the block.

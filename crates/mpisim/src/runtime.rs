@@ -99,6 +99,11 @@ where
                         if outcome.is_err() {
                             comm.poison_network();
                         }
+                        drop(comm);
+                        // Spill this rank's trace ring before the thread
+                        // returns: its thread-local destructor may run only
+                        // after the scope has joined (a backstop).
+                        dspgemm_obs::flush_thread();
                         outcome
                     })
                     .expect("failed to spawn rank thread")

@@ -285,16 +285,21 @@ fn ctrl_send<T: WireEncode>(stream: &mut TcpStream, msg: &T) -> std::io::Result<
     stream.write_all(&buf)
 }
 
+/// Upper bound on one length-prefixed body (control message or `VALUE`
+/// payload): a longer length read off a socket is a corrupt stream, not an
+/// allocation to attempt.
+const MAX_FRAME_BYTES: u64 = 1 << 32;
+
 /// Reads one length-prefixed control message.
 fn ctrl_recv<T: WireDecode>(stream: &mut TcpStream) -> std::io::Result<T> {
-    let len = read_exact_u64(stream)? as usize;
-    if len > (1 << 32) {
+    let len = read_exact_u64(stream)?;
+    if len > MAX_FRAME_BYTES {
         return Err(std::io::Error::new(
             ErrorKind::InvalidData,
             "control message length implausible",
         ));
     }
-    let mut body = vec![0u8; len];
+    let mut body = vec![0u8; len as usize];
     stream.read_exact(&mut body)?;
     decode_from_slice::<T>(&body)
         .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))
@@ -305,10 +310,12 @@ fn ctrl_recv<T: WireDecode>(stream: &mut TcpStream) -> std::io::Result<T> {
 // ---------------------------------------------------------------------------
 
 /// Parses frames from `peer`'s stream into the inbox until `FIN`, EOF, or a
-/// read error. An unclean end synthesizes a `Failed { rank: peer }` marker
+/// read error. An unclean end — or a malformed frame: a `VALUE` length
+/// beyond [`MAX_FRAME_BYTES`], a `FAILED` rank outside the `p`-rank world,
+/// an unknown frame kind — synthesizes a `Failed { rank: peer }` marker
 /// stamped with `epoch = u64::MAX` so it can never be screened out as
 /// stale — the survivors' typed [`crate::CommError::PeerFailed`] signal.
-fn reader_loop(peer: usize, mut stream: TcpStream, inbox: Sender<Envelope>) {
+fn reader_loop(peer: usize, p: usize, mut stream: TcpStream, inbox: Sender<Envelope>) {
     let fail = |inbox: &Sender<Envelope>| {
         let _ = inbox.send(Envelope {
             src_world: peer,
@@ -344,6 +351,10 @@ fn reader_loop(peer: usize, mut stream: TcpStream, inbox: Sender<Envelope>) {
                     fail(&inbox);
                     return;
                 };
+                if len > MAX_FRAME_BYTES {
+                    fail(&inbox);
+                    return;
+                }
                 let mut body = vec![0u8; len as usize];
                 if stream.read_exact(&mut body).is_err() {
                     fail(&inbox);
@@ -381,6 +392,10 @@ fn reader_loop(peer: usize, mut stream: TcpStream, inbox: Sender<Envelope>) {
                     fail(&inbox);
                     return;
                 };
+                if rank >= p as u64 {
+                    fail(&inbox);
+                    return;
+                }
                 Envelope {
                     src_world: peer,
                     comm_id: 0,
@@ -470,7 +485,7 @@ where
             let inbox = tx.clone();
             std::thread::Builder::new()
                 .name(format!("tcp-reader-{peer}"))
-                .spawn(move || reader_loop(peer, read_half, inbox))
+                .spawn(move || reader_loop(peer, p, read_half, inbox))
                 .expect("spawn reader");
         }
     }
@@ -516,6 +531,10 @@ where
                 // the simulator's panic behaviour.
                 comm.poison_network();
             }
+            drop(comm);
+            // Spill this rank's trace ring before the thread returns; the
+            // ring's thread-local destructor is only a backstop.
+            dspgemm_obs::flush_thread();
             outcome
         })
         .expect("spawn rank thread")
@@ -725,7 +744,7 @@ mod tests {
         let (write_end, read_end) = socket_pair();
         let (tx, rx) = unbounded();
         let (loop_tx, _loop_rx) = unbounded();
-        let reader = std::thread::spawn(move || reader_loop(1, read_end, tx));
+        let reader = std::thread::spawn(move || reader_loop(1, 2, read_end, tx));
         let link = TcpLink {
             rank: 0,
             loopback: loop_tx,
@@ -807,13 +826,13 @@ mod tests {
                 comm_id: 0,
                 tag: Tag(0),
                 epoch: 3,
-                payload: Payload::Failed { rank: 7 },
+                payload: Payload::Failed { rank: 0 },
                 sent_at: Instant::now(),
             },
         )
         .expect("deliver failed marker");
         let env = rx.recv_timeout(Duration::from_secs(10)).expect("frame");
-        assert!(matches!(env.payload, Payload::Failed { rank: 7 }));
+        assert!(matches!(env.payload, Payload::Failed { rank: 0 }));
         assert_eq!(env.epoch, 3);
         drop(link);
         reader.join().expect("reader exits on EOF");
@@ -828,6 +847,39 @@ mod tests {
         // Epoch u64::MAX: survives epoch screening at any recovery depth.
         assert_eq!(env.epoch, u64::MAX);
         reader.join().expect("reader exits");
+    }
+
+    /// Writes one raw frame into a 2-rank reader's socket and returns the
+    /// envelope the reader forwards; the reader must exit afterwards.
+    fn reader_verdict(kind: u8, fields: &[u64]) -> Envelope {
+        let (mut write_end, read_end) = socket_pair();
+        let (tx, rx) = unbounded();
+        let reader = std::thread::spawn(move || reader_loop(1, 2, read_end, tx));
+        let mut bytes = vec![kind];
+        for v in fields {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        write_end.write_all(&bytes).expect("write frame");
+        let env = rx.recv_timeout(Duration::from_secs(10)).expect("verdict");
+        reader.join().expect("reader exits on a malformed frame");
+        env
+    }
+
+    #[test]
+    fn over_long_value_length_fails_the_peer() {
+        // comm_id, tag, epoch, then a length past the frame bound — no
+        // allocation is attempted, the peer is declared failed.
+        let env = reader_verdict(frame::VALUE, &[0, 0, 0, MAX_FRAME_BYTES + 1]);
+        assert!(matches!(env.payload, Payload::Failed { rank: 1 }));
+        assert_eq!(env.epoch, u64::MAX);
+    }
+
+    #[test]
+    fn out_of_range_failed_rank_fails_the_peer() {
+        // epoch 3, rank 2 in a 2-rank world: not forwarded.
+        let env = reader_verdict(frame::FAILED, &[3, 2]);
+        assert!(matches!(env.payload, Payload::Failed { rank: 1 }));
+        assert_eq!(env.epoch, u64::MAX);
     }
 
     #[test]

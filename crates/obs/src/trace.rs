@@ -170,8 +170,10 @@ fn current_rank() -> i32 {
 
 /// Flushes the current thread's ring buffer into the global sink.
 ///
-/// Rank threads flush automatically on exit; the main thread should call
-/// this (or [`drain`], which does) before exporting.
+/// Rank threads call this as their last step (the ring's thread-local
+/// destructor, which also spills, may run only after a scoped join has
+/// returned); the main thread should call this (or [`drain`], which does)
+/// before exporting.
 pub fn flush_thread() {
     RING.with(|r| r.borrow_mut().spill());
 }
@@ -652,7 +654,10 @@ mod tests {
             for r in 0..4 {
                 s.spawn(move || {
                     set_thread_rank(r);
-                    let _s = span("comm", "send").attr("bytes", r as u64);
+                    drop(span("comm", "send").attr("bytes", r as u64));
+                    // The thread-local destructor may run after the scope
+                    // has joined; spill explicitly, as rank threads do.
+                    flush_thread();
                 });
             }
         });

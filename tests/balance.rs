@@ -10,7 +10,7 @@
 //! workspaces must be *reused* across calls (pool heap stops growing after
 //! the first call) rather than silently reallocated.
 
-use dspgemm::core::summa::{summa, summa_exec};
+use dspgemm::core::summa::summa;
 use dspgemm::core::{DistMat, Exec, Grid};
 use dspgemm::graph::rmat::{generate, RmatParams};
 use dspgemm::sparse::local_mm::{
@@ -162,7 +162,7 @@ fn summa_exec_schedules_match_across_grids() {
                 };
                 let a = DistMat::from_global_triples(&grid, n, n, t, 2, &mut timer);
                 let exec = Exec::<U64Plus>::with_schedule(4, schedule);
-                let (c, flops) = summa_exec::<U64Plus>(&grid, &a, &a, &exec, &mut timer);
+                let (c, flops) = summa::<U64Plus>(&grid, &a, &a, &exec, &mut timer);
                 // Per-thread counters cover the whole local flop count.
                 assert_eq!(timer.thread_flops().iter().sum::<u64>(), flops);
                 c.gather_to_root(comm)
@@ -190,7 +190,7 @@ fn summa_exec_schedules_match_across_grids() {
                 vec![]
             };
             let a = DistMat::from_global_triples(&grid, n, n, t, 2, &mut timer);
-            let (c, _) = summa::<U64Plus>(&grid, &a, &a, 4, &mut timer);
+            let (c, _) = summa::<U64Plus>(&grid, &a, &a, &Exec::new(4), &mut timer);
             c.gather_to_root(comm)
         });
         assert_eq!(

@@ -6,7 +6,9 @@
 use dspgemm::baselines::{
     combblas, combblas::CombBlasMatrix, ctf, ctf::CtfMatrix, petsc, petsc::PetscMatrix,
 };
+use dspgemm::core::layout::uniform_layout;
 use dspgemm::core::summa::summa;
+use dspgemm::core::Exec;
 use dspgemm::core::{DistMat, Grid};
 use dspgemm::sparse::semiring::U64Plus;
 use dspgemm::sparse::{Index, Triple};
@@ -51,13 +53,12 @@ fn all_systems_agree_on_construction() {
             let mut m = DistMat::empty(&grid, n, n);
             let upd = dspgemm::core::update::build_update_matrix::<U64Plus>(
                 &grid,
-                n,
-                n,
+                &uniform_layout(n, n, grid.q()),
                 mine.clone(),
                 dspgemm::core::update::Dedup::Add,
                 &mut timer,
             );
-            dspgemm::core::update::apply_add::<U64Plus>(&mut m, &upd, 2);
+            dspgemm::core::update::apply_add::<U64Plus>(&mut m, &upd, &Exec::new(2));
             m.gather_to_root(comm)
         };
         let cb = CombBlasMatrix::construct::<U64Plus>(&grid, n, n, mine.clone(), &mut timer)
@@ -93,7 +94,7 @@ fn all_systems_agree_on_spgemm() {
         // Ours.
         let a = DistMat::from_global_triples(&grid, n, n, feed_a.clone(), 1, &mut timer);
         let b = DistMat::from_global_triples(&grid, n, n, feed_b.clone(), 1, &mut timer);
-        let (c_ours, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
+        let (c_ours, _) = summa::<U64Plus>(&grid, &a, &b, &Exec::new(1), &mut timer);
         // CombBLAS.
         let a_cb = CombBlasMatrix::construct::<U64Plus>(&grid, n, n, feed_a.clone(), &mut timer);
         let b_cb = CombBlasMatrix::construct::<U64Plus>(&grid, n, n, feed_b.clone(), &mut timer);
@@ -144,9 +145,10 @@ fn fig9_protocol_dynamic_equals_competitor_fold() {
                 &mut a_ours,
                 &mut b_ours,
                 &mut c_ours,
+                None,
                 batch.clone(),
                 vec![],
-                1,
+                &Exec::new(1),
                 &mut timer,
             );
             let a_star = CombBlasMatrix::construct::<U64Plus>(&grid, n, n, batch, &mut timer);

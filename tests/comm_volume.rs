@@ -2,8 +2,10 @@
 //! as hard test invariants rather than just benchmarks.
 
 use dspgemm::core::dyn_algebraic::apply_algebraic_updates;
+use dspgemm::core::layout::uniform_layout;
 use dspgemm::core::summa::summa;
 use dspgemm::core::update::{apply_add, build_update_matrix, Dedup};
+use dspgemm::core::Exec;
 use dspgemm::core::{DistMat, Grid};
 use dspgemm::graph::catalog::small_instances;
 use dspgemm::sparse::semiring::F64Plus;
@@ -55,7 +57,7 @@ fn dynamic_update_volume_beats_static_recompute() {
         };
         let mut a = DistMat::from_global_triples(&grid, n, n, feed.clone(), 1, &mut timer);
         let mut b = DistMat::from_global_triples(&grid, n, n, feed, 1, &mut timer);
-        let (mut c, _) = summa::<F64Plus>(&grid, &a, &b, 1, &mut timer);
+        let (mut c, _) = summa::<F64Plus>(&grid, &a, &b, &Exec::new(1), &mut timer);
         let ups = if comm.rank() == 0 {
             batch.clone()
         } else {
@@ -66,9 +68,10 @@ fn dynamic_update_volume_beats_static_recompute() {
             &mut a,
             &mut b,
             &mut c,
+            None,
             ups,
             vec![],
-            1,
+            &Exec::new(1),
             &mut timer,
         );
         c.local_nnz()
@@ -84,15 +87,21 @@ fn dynamic_update_volume_beats_static_recompute() {
         };
         let mut a = DistMat::from_global_triples(&grid, n, n, feed.clone(), 1, &mut timer);
         let b = DistMat::from_global_triples(&grid, n, n, feed, 1, &mut timer);
-        let (_, _) = summa::<F64Plus>(&grid, &a, &b, 1, &mut timer);
+        let (_, _) = summa::<F64Plus>(&grid, &a, &b, &Exec::new(1), &mut timer);
         let ups = if comm.rank() == 0 {
             batch2.clone()
         } else {
             vec![]
         };
-        let upd = build_update_matrix::<F64Plus>(&grid, n, n, ups, Dedup::Add, &mut timer);
-        apply_add::<F64Plus>(&mut a, &upd, 1);
-        let (c2, _) = summa::<F64Plus>(&grid, &a, &b, 1, &mut timer);
+        let upd = build_update_matrix::<F64Plus>(
+            &grid,
+            &uniform_layout(n, n, grid.q()),
+            ups,
+            Dedup::Add,
+            &mut timer,
+        );
+        apply_add::<F64Plus>(&mut a, &upd, &Exec::new(1));
+        let (c2, _) = summa::<F64Plus>(&grid, &a, &b, &Exec::new(1), &mut timer);
         c2.local_nnz()
     });
     let dyn_bytes = dynamic.stats.total_bytes();
@@ -122,7 +131,7 @@ fn bcast_volume_scales_with_batch_not_operands() {
                 };
                 let a = DistMat::from_global_triples(&grid, n, n, feed.clone(), 1, &mut timer);
                 let b = DistMat::from_global_triples(&grid, n, n, feed, 1, &mut timer);
-                let (c, _) = summa::<F64Plus>(&grid, &a, &b, 1, &mut timer);
+                let (c, _) = summa::<F64Plus>(&grid, &a, &b, &Exec::new(1), &mut timer);
                 c.local_nnz()
             }
         });
@@ -136,7 +145,7 @@ fn bcast_volume_scales_with_batch_not_operands() {
             };
             let mut a = DistMat::from_global_triples(&grid, n, n, feed.clone(), 1, &mut timer);
             let mut b = DistMat::from_global_triples(&grid, n, n, feed.clone(), 1, &mut timer);
-            let (mut c, _) = summa::<F64Plus>(&grid, &a, &b, 1, &mut timer);
+            let (mut c, _) = summa::<F64Plus>(&grid, &a, &b, &Exec::new(1), &mut timer);
             let ups: Vec<Triple<f64>> = if comm.rank() == 0 {
                 triples.iter().copied().take(batch_len).collect()
             } else {
@@ -147,9 +156,10 @@ fn bcast_volume_scales_with_batch_not_operands() {
                 &mut a,
                 &mut b,
                 &mut c,
+                None,
                 ups,
                 vec![],
-                1,
+                &Exec::new(1),
                 &mut timer,
             );
             c.local_nnz()

@@ -59,7 +59,7 @@ fn run_mode<S: Semiring>(
         let a = DistMat::from_global_triples(&grid, N, N, feed(11, 250), 1, &mut timer);
         let b = DistMat::from_global_triples(&grid, N, N, feed(12, 250), 1, &mut timer);
         let mut eng = DynSpGemm::<S>::new(&grid, a, b, 1, false);
-        eng.transpose_mode = mode;
+        eng.exec.transpose = mode;
         let mut gathered = Vec::new();
         for k in 0..BATCHES as u64 {
             eng.apply_algebraic(&grid, feed(100 + k, 60), feed(200 + k, 60));

@@ -8,6 +8,7 @@ use dspgemm::core::dyn_algebraic::apply_algebraic_updates;
 use dspgemm::core::dyn_general::{apply_general_updates, GeneralUpdates};
 use dspgemm::core::spmv::{spmv, DistVec};
 use dspgemm::core::summa::{summa, summa_bloom};
+use dspgemm::core::Exec;
 use dspgemm::core::{DistMat, Grid};
 use dspgemm::sparse::local_mm::spgemm;
 use dspgemm::sparse::semiring::{MinPlus, Semiring, U64Plus};
@@ -79,7 +80,7 @@ fn check_summa_parity<S: Semiring>(seed: u64, val: impl Fn(u64) -> S::Elem + Sen
                 let a = DistMat::from_global_triples(&grid, n, n, feed.clone(), 1, &mut timer);
                 let b = DistMat::from_global_triples(&grid, n, n, feed, 1, &mut timer);
                 let c = if shared {
-                    summa::<S>(&grid, &a, &b, 1, &mut timer).0
+                    summa::<S>(&grid, &a, &b, &Exec::new(1), &mut timer).0
                 } else {
                     summa_cloned::<S>(&grid, &a, &b)
                 };
@@ -128,7 +129,7 @@ fn algebraic_update_pipeline_is_zero_copy_and_exact() {
             };
             let mut a = DistMat::from_global_triples(&grid, n, n, feed.clone(), 1, &mut timer);
             let mut b = DistMat::from_global_triples(&grid, n, n, feed, 1, &mut timer);
-            let (mut c, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
+            let (mut c, _) = summa::<U64Plus>(&grid, &a, &b, &Exec::new(1), &mut timer);
             for round in 0..2u64 {
                 let ups = random_triples::<U64Plus>(50 + round + comm.rank() as u64, n, 12, |v| v);
                 apply_algebraic_updates::<U64Plus>(
@@ -136,13 +137,14 @@ fn algebraic_update_pipeline_is_zero_copy_and_exact() {
                     &mut a,
                     &mut b,
                     &mut c,
+                    None,
                     ups,
                     vec![],
-                    1,
+                    &Exec::new(1),
                     &mut timer,
                 );
             }
-            let (c_static, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
+            let (c_static, _) = summa::<U64Plus>(&grid, &a, &b, &Exec::new(1), &mut timer);
             c.gather_to_root(comm) == c_static.gather_to_root(comm)
         });
         assert!(out.results.iter().all(|&eq| eq), "p={p}");
@@ -164,7 +166,8 @@ fn general_update_pipeline_is_zero_copy_and_exact_min_plus() {
             };
             let mut a = DistMat::from_global_triples(&grid, n, n, feed.clone(), 1, &mut timer);
             let mut b = DistMat::from_global_triples(&grid, n, n, feed, 1, &mut timer);
-            let (mut c, mut f, _) = summa_bloom::<MinPlus>(&grid, &a, &b, 1, &mut timer);
+            let (mut c, mut f, _) =
+                summa_bloom::<MinPlus>(&grid, &a, &b, &Exec::new(1), &mut timer);
             // Value increases (min-plus-incompatible) plus deletions.
             let a_cur = a.gather_to_root(comm);
             let upd = if comm.rank() == 0 {
@@ -189,10 +192,10 @@ fn general_update_pipeline_is_zero_copy_and_exact_min_plus() {
                 &mut f,
                 upd,
                 GeneralUpdates::new(),
-                1,
+                &Exec::new(1),
                 &mut timer,
             );
-            let (c_static, _) = summa::<MinPlus>(&grid, &a, &b, 1, &mut timer);
+            let (c_static, _) = summa::<MinPlus>(&grid, &a, &b, &Exec::new(1), &mut timer);
             c.gather_to_root(comm) == c_static.gather_to_root(comm)
         });
         assert!(out.results.iter().all(|&eq| eq), "p={p}");

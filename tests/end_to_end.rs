@@ -5,6 +5,7 @@
 use dspgemm::core::dyn_general::GeneralUpdates;
 use dspgemm::core::engine::DynSpGemm;
 use dspgemm::core::summa::summa;
+use dspgemm::core::Exec;
 use dspgemm::core::{DistMat, Grid};
 use dspgemm::sparse::dense::Dense;
 use dspgemm::sparse::semiring::{BoolOrAnd, F64Plus, MinPlus, Semiring, U64Plus};
@@ -62,7 +63,7 @@ where
                 });
             eng.apply_algebraic(&grid, a_ups, b_ups);
         }
-        let (c_static, _) = summa::<S>(&grid, &eng.a, &eng.b, 2, &mut timer);
+        let (c_static, _) = summa::<S>(&grid, &eng.a, &eng.b, &Exec::new(2), &mut timer);
         (eng.c.gather_to_root(comm), c_static.gather_to_root(comm))
     });
     let (c_dyn, c_static) = &out.results[0];
@@ -155,7 +156,7 @@ fn mixed_algebraic_and_general_min_plus() {
                 };
                 eng.apply_general(&grid, upd, GeneralUpdates::new());
             }
-            let (c_static, _) = summa::<MinPlus>(&grid, &eng.a, &eng.b, 1, &mut timer);
+            let (c_static, _) = summa::<MinPlus>(&grid, &eng.a, &eng.b, &Exec::new(1), &mut timer);
             (eng.c.gather_to_root(comm), c_static.gather_to_root(comm))
         });
         let (c_dyn, c_static) = &out.results[0];
@@ -237,7 +238,7 @@ fn rectangular_matrices() {
             vec![]
         };
         eng.apply_algebraic(&grid, ups, vec![]);
-        let (c_static, _) = summa::<U64Plus>(&grid, &eng.a, &eng.b, 1, &mut timer);
+        let (c_static, _) = summa::<U64Plus>(&grid, &eng.a, &eng.b, &Exec::new(1), &mut timer);
         (eng.c.gather_to_root(comm), c_static.gather_to_root(comm))
     });
     let (c_dyn, c_static) = &out.results[0];

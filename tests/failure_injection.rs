@@ -1,6 +1,7 @@
 //! Failure-injection and misuse tests: wrong configurations must fail fast
 //! with clear messages, and a crashing rank must never deadlock the rest.
 
+use dspgemm::core::Exec;
 use dspgemm::core::{DistMat, Grid};
 use dspgemm::sparse::semiring::U64Plus;
 use dspgemm::util::stats::PhaseTimer;
@@ -24,7 +25,8 @@ fn dimension_mismatch_is_rejected() {
             let mut timer = PhaseTimer::new();
             let a: DistMat<u64> = DistMat::empty(&grid, 8, 9);
             let b: DistMat<u64> = DistMat::empty(&grid, 10, 8); // 9 != 10
-            let _ = dspgemm::core::summa::summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
+            let _ =
+                dspgemm::core::summa::summa::<U64Plus>(&grid, &a, &b, &Exec::new(1), &mut timer);
         });
     }));
     assert!(result.is_err(), "inner dimension mismatch must panic");

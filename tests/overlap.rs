@@ -7,8 +7,9 @@
 
 use dspgemm::core::dyn_algebraic::apply_algebraic_updates;
 use dspgemm::core::dyn_general::{apply_general_updates, GeneralUpdates};
-use dspgemm::core::summa::{summa, summa_blocking, summa_bloom, summa_bloom_blocking};
-use dspgemm::core::{DistMat, Grid};
+use dspgemm::core::pipeline::Schedule;
+use dspgemm::core::summa::{summa, summa_bloom};
+use dspgemm::core::{DistMat, Exec, Grid};
 use dspgemm::sparse::semiring::{MinPlus, Semiring, U64Plus};
 use dspgemm::sparse::{Index, Triple};
 use dspgemm::util::rng::{Rng, SplitMix64};
@@ -32,6 +33,13 @@ fn random_triples<S: Semiring>(
         .collect()
 }
 
+/// A one-thread execution context on the given round schedule.
+fn exec_on<S: Semiring>(rounds: Schedule) -> Exec<S> {
+    let mut exec = Exec::new(1);
+    exec.rounds = rounds;
+    exec
+}
+
 /// Pipelined vs. blocking SUMMA: bit-identical `C`, identical flops,
 /// byte-identical wire volume, zero payload clones on both schedules.
 fn check_summa_schedules<S: Semiring>(val: impl Fn(u64) -> S::Elem + Send + Sync + Copy) {
@@ -49,11 +57,12 @@ fn check_summa_schedules<S: Semiring>(val: impl Fn(u64) -> S::Elem + Send + Sync
                         vec![]
                     };
                     let a = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-                    let (c, flops) = if pipelined {
-                        summa::<S>(&grid, &a, &a, 1, &mut timer)
+                    let rounds = if pipelined {
+                        Schedule::Overlap
                     } else {
-                        summa_blocking::<S>(&grid, &a, &a, 1, &mut timer)
+                        Schedule::Blocking
                     };
+                    let (c, flops) = summa::<S>(&grid, &a, &a, &exec_on(rounds), &mut timer);
                     (c.gather_to_root(comm), flops)
                 })
             })
@@ -101,11 +110,13 @@ fn summa_bloom_pipelined_matches_blocking() {
                         vec![]
                     };
                     let a = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-                    let (c, f, _) = if pipelined {
-                        summa_bloom::<U64Plus>(&grid, &a, &a, 1, &mut timer)
+                    let rounds = if pipelined {
+                        Schedule::Overlap
                     } else {
-                        summa_bloom_blocking::<U64Plus>(&grid, &a, &a, 1, &mut timer)
+                        Schedule::Blocking
                     };
+                    let (c, f, _) =
+                        summa_bloom::<U64Plus>(&grid, &a, &a, &exec_on(rounds), &mut timer);
                     (c.gather_to_root(comm), f.gather_to_root(comm))
                 })
             })
@@ -115,42 +126,61 @@ fn summa_bloom_pipelined_matches_blocking() {
     }
 }
 
-/// Dynamic algebraic updates on the pipelined engine maintain exactly the
-/// product a from-scratch *blocking* SUMMA computes — for both semirings
-/// and every grid size. (The dynamic paths are pipelined-only; the blocking
-/// static recomputation is the independent reference.)
+/// Dynamic algebraic updates maintain exactly the product a from-scratch
+/// *blocking* SUMMA computes — for both semirings, every grid size and both
+/// round schedules — and the two schedules move byte-identical volume.
 fn check_dynamic_updates<S: Semiring>(val: impl Fn(u64) -> S::Elem + Send + Sync + Copy) {
     let n: Index = 26;
     for p in [1usize, 4, 9] {
-        let out = dspgemm::mpi::run(p, move |comm| {
-            let grid = Grid::new(comm);
-            let mut timer = PhaseTimer::new();
-            let feed = |s: u64| {
-                if comm.rank() == 0 {
-                    random_triples::<S>(s, n, 90, val)
-                } else {
-                    vec![]
-                }
-            };
-            let mut a = DistMat::from_global_triples(&grid, n, n, feed(1), 1, &mut timer);
-            let mut b = DistMat::from_global_triples(&grid, n, n, feed(2), 1, &mut timer);
-            let (mut c, _) = summa::<S>(&grid, &a, &b, 1, &mut timer);
-            for round in 0..3u64 {
-                let a_ups = random_triples::<S>(100 + round + comm.rank() as u64, n, 12, val);
-                let b_ups = random_triples::<S>(200 + round + comm.rank() as u64, n, 12, val);
-                apply_algebraic_updates::<S>(
-                    &grid, &mut a, &mut b, &mut c, a_ups, b_ups, 1, &mut timer,
-                );
-            }
-            let (c_static, _) = summa_blocking::<S>(&grid, &a, &b, 1, &mut timer);
-            (c.gather_to_root(comm), c_static.gather_to_root(comm))
-        });
-        let (c_dyn, c_static) = &out.results[0];
-        assert_eq!(
-            c_dyn, c_static,
-            "p={p}: pipelined dynamic updates != blocking static recompute"
-        );
+        let runs: Vec<_> = [Schedule::Blocking, Schedule::Overlap]
+            .into_iter()
+            .map(|rounds| dynamic_run::<S>(p, n, rounds, val))
+            .collect();
+        for out in &runs {
+            let (c_dyn, c_static) = &out.results[0];
+            assert_eq!(
+                c_dyn, c_static,
+                "p={p}: dynamic updates != blocking static recompute"
+            );
+        }
+        assert_eq!(runs[0].results, runs[1].results, "p={p}");
+        assert_eq!(runs[0].stats.volume(), runs[1].stats.volume(), "p={p}");
     }
+}
+
+/// Three algebraic batches under `rounds`, then a blocking static recompute.
+#[allow(clippy::type_complexity)]
+fn dynamic_run<S: Semiring>(
+    p: usize,
+    n: Index,
+    rounds: Schedule,
+    val: impl Fn(u64) -> S::Elem + Send + Sync + Copy,
+) -> dspgemm::mpi::SimOutput<(Option<Vec<Triple<S::Elem>>>, Option<Vec<Triple<S::Elem>>>)> {
+    dspgemm::mpi::run(p, move |comm| {
+        let grid = Grid::new(comm);
+        let mut timer = PhaseTimer::new();
+        let feed = |s: u64| {
+            if comm.rank() == 0 {
+                random_triples::<S>(s, n, 90, val)
+            } else {
+                vec![]
+            }
+        };
+        let mut a = DistMat::from_global_triples(&grid, n, n, feed(1), 1, &mut timer);
+        let mut b = DistMat::from_global_triples(&grid, n, n, feed(2), 1, &mut timer);
+        let exec = exec_on::<S>(rounds);
+        let (mut c, _) = summa::<S>(&grid, &a, &b, &exec, &mut timer);
+        for round in 0..3u64 {
+            let a_ups = random_triples::<S>(100 + round + comm.rank() as u64, n, 12, val);
+            let b_ups = random_triples::<S>(200 + round + comm.rank() as u64, n, 12, val);
+            apply_algebraic_updates::<S>(
+                &grid, &mut a, &mut b, &mut c, None, a_ups, b_ups, &exec, &mut timer,
+            );
+        }
+        let blocking = exec_on::<S>(Schedule::Blocking);
+        let (c_static, _) = summa::<S>(&grid, &a, &b, &blocking, &mut timer);
+        (c.gather_to_root(comm), c_static.gather_to_root(comm))
+    })
 }
 
 #[test]
@@ -163,57 +193,77 @@ fn dynamic_updates_match_blocking_reference_minplus() {
     check_dynamic_updates::<MinPlus>(|v| v as f64);
 }
 
-/// General (deletion-carrying) updates through the pipelined
-/// `COMPUTE_PATTERN` + masked-recompute rounds agree with the blocking
-/// static recomputation, for the min-plus semiring where additive patching
-/// is impossible.
+/// General (deletion-carrying) updates through the `COMPUTE_PATTERN` +
+/// masked-recompute rounds agree with the blocking static recomputation,
+/// for the min-plus semiring where additive patching is impossible — on
+/// both round schedules, with bit-identical `C` and byte-identical volume.
 #[test]
 fn general_updates_match_blocking_reference() {
     let n: Index = 20;
     for p in [1usize, 4, 9] {
-        let out = dspgemm::mpi::run(p, move |comm| {
-            let grid = Grid::new(comm);
-            let mut timer = PhaseTimer::new();
-            let t = if comm.rank() == 0 {
-                random_triples::<MinPlus>(5, n, 3 * n as usize, |v| v as f64)
-            } else {
-                vec![]
-            };
-            let mut a = DistMat::from_global_triples(&grid, n, n, t.clone(), 1, &mut timer);
-            let mut b = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-            let (mut c, mut f, _) = summa_bloom::<MinPlus>(&grid, &a, &b, 1, &mut timer);
-            // Deletions + value increases drawn from the current state.
-            let a_cur = a.gather_to_root(comm);
-            let a_upd = if comm.rank() == 0 {
-                let cur = a_cur.unwrap();
-                let mut upd = GeneralUpdates::new();
-                for t in cur.iter().step_by(4) {
-                    upd.deletes.push((t.row, t.col));
-                }
-                for t in cur.iter().skip(1).step_by(5) {
-                    upd.sets.push(Triple::new(t.row, t.col, t.val + 7.5));
-                }
-                upd
-            } else {
-                GeneralUpdates::new()
-            };
-            apply_general_updates::<MinPlus>(
-                &grid,
-                &mut a,
-                &mut b,
-                &mut c,
-                &mut f,
-                a_upd,
-                GeneralUpdates::new(),
-                1,
-                &mut timer,
-            );
-            let (c_static, _) = summa_blocking::<MinPlus>(&grid, &a, &b, 1, &mut timer);
-            (c.gather_to_root(comm), c_static.gather_to_root(comm))
-        });
-        let (c_dyn, c_static) = &out.results[0];
-        assert_eq!(c_dyn, c_static, "p={p}");
+        let runs: Vec<_> = [Schedule::Blocking, Schedule::Overlap]
+            .into_iter()
+            .map(|rounds| general_run(p, n, rounds))
+            .collect();
+        for out in &runs {
+            let (c_dyn, c_static) = &out.results[0];
+            assert_eq!(c_dyn, c_static, "p={p}");
+        }
+        assert_eq!(runs[0].results, runs[1].results, "p={p}");
+        assert_eq!(runs[0].stats.volume(), runs[1].stats.volume(), "p={p}");
     }
+}
+
+/// One general batch of deletions and value increases under `rounds`, then
+/// a blocking static recompute.
+#[allow(clippy::type_complexity)]
+fn general_run(
+    p: usize,
+    n: Index,
+    rounds: Schedule,
+) -> dspgemm::mpi::SimOutput<(Option<Vec<Triple<f64>>>, Option<Vec<Triple<f64>>>)> {
+    dspgemm::mpi::run(p, move |comm| {
+        let grid = Grid::new(comm);
+        let mut timer = PhaseTimer::new();
+        let t = if comm.rank() == 0 {
+            random_triples::<MinPlus>(5, n, 3 * n as usize, |v| v as f64)
+        } else {
+            vec![]
+        };
+        let mut a = DistMat::from_global_triples(&grid, n, n, t.clone(), 1, &mut timer);
+        let mut b = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
+        let exec = exec_on::<MinPlus>(rounds);
+        let (mut c, mut f, _) = summa_bloom::<MinPlus>(&grid, &a, &b, &exec, &mut timer);
+        // Deletions + value increases drawn from the current state.
+        let a_cur = a.gather_to_root(comm);
+        let a_upd = if comm.rank() == 0 {
+            let cur = a_cur.unwrap();
+            let mut upd = GeneralUpdates::new();
+            for t in cur.iter().step_by(4) {
+                upd.deletes.push((t.row, t.col));
+            }
+            for t in cur.iter().skip(1).step_by(5) {
+                upd.sets.push(Triple::new(t.row, t.col, t.val + 7.5));
+            }
+            upd
+        } else {
+            GeneralUpdates::new()
+        };
+        apply_general_updates::<MinPlus>(
+            &grid,
+            &mut a,
+            &mut b,
+            &mut c,
+            &mut f,
+            a_upd,
+            GeneralUpdates::new(),
+            &exec,
+            &mut timer,
+        );
+        let blocking = exec_on::<MinPlus>(Schedule::Blocking);
+        let (c_static, _) = summa::<MinPlus>(&grid, &a, &b, &blocking, &mut timer);
+        (c.gather_to_root(comm), c_static.gather_to_root(comm))
+    })
 }
 
 /// A request whose payload is sent *after* issue while the receiver
@@ -263,7 +313,7 @@ fn pipelined_runs_record_overlap() {
         let mut timer = PhaseTimer::new();
         let t = random_triples::<U64Plus>(3, n, 600, |v| v);
         let a = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-        let (c, _) = summa::<U64Plus>(&grid, &a, &a, 1, &mut timer);
+        let (c, _) = summa::<U64Plus>(&grid, &a, &a, &Exec::new(1), &mut timer);
         c.local_nnz()
     });
     assert_eq!(

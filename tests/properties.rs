@@ -8,8 +8,10 @@
 //! proptest used. Failures print the offending case seed, which reproduces
 //! the input deterministically.
 
+use dspgemm::core::layout::uniform_layout;
 use dspgemm::core::summa::summa;
 use dspgemm::core::update::{apply_add, build_update_matrix, Dedup};
+use dspgemm::core::Exec;
 use dspgemm::core::{DistMat, Grid};
 use dspgemm::sparse::dense::Dense;
 use dspgemm::sparse::semiring::U64Plus;
@@ -99,15 +101,27 @@ fn distributed_add_matches_reference() {
                 vec![]
             };
             let mut m = DistMat::empty(&grid, N, N);
-            let init = build_update_matrix::<U64Plus>(&grid, N, N, feed, Dedup::Add, &mut timer);
-            apply_add::<U64Plus>(&mut m, &init, 2);
+            let init = build_update_matrix::<U64Plus>(
+                &grid,
+                &uniform_layout(N, N, grid.q()),
+                feed,
+                Dedup::Add,
+                &mut timer,
+            );
+            apply_add::<U64Plus>(&mut m, &init, &Exec::new(2));
             let ups = if comm.rank() == 0 {
                 updates_c.clone()
             } else {
                 vec![]
             };
-            let upd = build_update_matrix::<U64Plus>(&grid, N, N, ups, Dedup::Add, &mut timer);
-            apply_add::<U64Plus>(&mut m, &upd, 2);
+            let upd = build_update_matrix::<U64Plus>(
+                &grid,
+                &uniform_layout(N, N, grid.q()),
+                ups,
+                Dedup::Add,
+                &mut timer,
+            );
+            apply_add::<U64Plus>(&mut m, &upd, &Exec::new(2));
             m.gather_to_root(comm)
         });
         let gathered = out.results[0].as_ref().unwrap();
@@ -144,18 +158,19 @@ fn dynamic_spgemm_matches_static() {
             };
             let mut a = DistMat::from_global_triples(&grid, N, N, feed(&a0c), 1, &mut timer);
             let mut b = DistMat::from_global_triples(&grid, N, N, feed(&b0c), 1, &mut timer);
-            let (mut c, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
+            let (mut c, _) = summa::<U64Plus>(&grid, &a, &b, &Exec::new(1), &mut timer);
             dspgemm::core::dyn_algebraic::apply_algebraic_updates::<U64Plus>(
                 &grid,
                 &mut a,
                 &mut b,
                 &mut c,
+                None,
                 feed(&a_upsc),
                 feed(&b_upsc),
-                1,
+                &Exec::new(1),
                 &mut timer,
             );
-            let (c_static, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
+            let (c_static, _) = summa::<U64Plus>(&grid, &a, &b, &Exec::new(1), &mut timer);
             (c.gather_to_root(comm), c_static.gather_to_root(comm))
         });
         let (c_dyn, c_static) = &out.results[0];

@@ -17,6 +17,7 @@ use dspgemm::core::dyn_general::GeneralUpdates;
 use dspgemm::core::engine::DynSpGemm;
 use dspgemm::core::grid::Grid;
 use dspgemm::core::DistMat;
+use dspgemm::core::Exec;
 use dspgemm::mpi::run;
 use dspgemm::sparse::semiring::{MinPlus, Semiring, U64Plus};
 use dspgemm::sparse::{Index, Triple};
@@ -108,7 +109,8 @@ fn engine_isolation_case<S: Semiring>(p: usize, mk: impl Fn(u64) -> S::Elem + Co
 
         // Freshness: the latest epoch equals a blocking rerun — a static
         // SUMMA recomputation of the updated operands.
-        let (c_rerun, _) = dspgemm::core::summa::summa::<S>(&grid, &eng.a, &eng.b, 1, &mut timer);
+        let (c_rerun, _) =
+            dspgemm::core::summa::summa::<S>(&grid, &eng.a, &eng.b, &Exec::new(1), &mut timer);
         assert!(pin2.c().gather_to_root(comm) == c_rerun.gather_to_root(comm));
 
         // Live snapshot reads match the pinned latest epoch.
