@@ -187,11 +187,12 @@ impl<S: Semiring> AnalyticsSession<S> {
     // ------------------------------------------------------------------
 
     /// Publishes the current `{A, C, views}` as the next epoch. Local-only
-    /// (no collectives): the matrices convert copy-on-write — only blocks
-    /// the last batch touched are re-encoded, untouched blocks are
-    /// re-shared from the previous epoch — and each view freezes its
-    /// current reading. SPMD callers publish in lockstep, so epoch numbers
-    /// agree on every rank.
+    /// (no collectives): the matrices publish copy-on-write — an untouched
+    /// block re-shares the previous epoch's image, `C`'s block merges that
+    /// image with the entries the batches since changed, and a block the
+    /// merge cannot serve (see [`DistMat`]'s fallback rule) is rebuilt —
+    /// and each view freezes its current reading. SPMD callers publish in
+    /// lockstep, so epoch numbers agree on every rank.
     fn publish(&mut self) -> Arc<SessionSnapshot<S>> {
         let a = SnapshotMat::new(self.a.info().clone(), self.a.snapshot_csr());
         let c = SnapshotMat::new(self.c.info().clone(), self.c.snapshot_csr());
@@ -206,31 +207,8 @@ impl<S: Semiring> AnalyticsSession<S> {
         let snap = self
             .store
             .publish_with(|epoch| SessionSnapshot::new(epoch, a, c, views));
-        self.record_load(snap.epoch());
+        dspgemm_core::snapshot::record_load(snap.epoch(), &self.a, &self.c, self.flops);
         snap
-    }
-
-    /// Emits the `epoch_publish` trace instant and refreshes this rank's
-    /// per-block load gauges (local nnz of `A` and `C`, accumulated local
-    /// flops — the skew signal a rebalancing policy would key on).
-    fn record_load(&self, epoch: u64) {
-        let nnz_a = self.a.block().nnz() as u64;
-        let nnz_c = self.c.block().nnz() as u64;
-        dspgemm_obs::instant(
-            "engine",
-            "epoch_publish",
-            &[
-                ("epoch", epoch),
-                ("nnz_a", nnz_a),
-                ("nnz_c", nnz_c),
-                ("flops", self.flops),
-            ],
-        );
-        let rank = dspgemm_obs::thread_rank();
-        let reg = dspgemm_obs::global();
-        reg.gauge_set(&format!("engine.block_nnz.a.rank{rank}"), nnz_a as f64);
-        reg.gauge_set(&format!("engine.block_nnz.c.rank{rank}"), nnz_c as f64);
-        reg.gauge_set(&format!("engine.block_flops.rank{rank}"), self.flops as f64);
     }
 
     /// Pins the current epoch: an immutable `{A, C, views, epoch}` the

@@ -1,9 +1,9 @@
 //! Criterion microbenches of the DHB dynamic block: insert / lookup / delete
 //! against the standard-library map alternatives (the constant factors
-//! behind Figs. 4–5).
+//! behind Figs. 4–5), and the two ways to publish a block's CSR image.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dspgemm_sparse::{DhbMatrix, Index};
+use dspgemm_sparse::{Dcsr, DhbMatrix, Index};
 use dspgemm_util::rng::{Rng, SplitMix64};
 use std::collections::{BTreeMap, HashMap};
 
@@ -78,5 +78,53 @@ fn bench_dhb(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_dhb);
+/// Epoch publish of a skewed block (row degrees falling off like a power
+/// law) after a batch changed about 30% of its entries — re-weights plus a
+/// few insertions and removals: a full rebuild from the DHB block against
+/// merging the previous image with the sorted change log.
+fn bench_publish(c: &mut Criterion) {
+    let (n, cols): (Index, Index) = (8192, 8192);
+    let mut rng = SplitMix64::new(11);
+    let mut m: DhbMatrix<f64> = DhbMatrix::new(n, cols);
+    for _ in 0..400_000 {
+        let u = rng.gen_range(1 << 20) as f64 / (1 << 20) as f64;
+        let r = (n as f64 * u * u * u) as Index;
+        m.set(r, rng.gen_range(cols as u64) as Index, 1.0);
+    }
+    let image = m.to_csr();
+    let mut delta = Dcsr::empty(n, cols);
+    for r in 0..n {
+        let (rcols, _) = image.row(r);
+        let mut changed: Vec<(Index, Option<f64>)> = Vec::new();
+        for &cc in rcols {
+            match rng.gen_range(100) {
+                0 => changed.push((cc, None)),
+                1..=29 => changed.push((cc, Some(2.0))),
+                _ => {}
+            }
+        }
+        if rng.gen_range(4) == 0 {
+            changed.push((rng.gen_range(cols as u64) as Index, Some(3.0)));
+        }
+        changed.sort_unstable_by_key(|&(cc, _)| cc);
+        changed.dedup_by_key(|&mut (cc, _)| cc);
+        for (cc, v) in changed {
+            match v {
+                Some(v) => m.set(r, cc, v),
+                None => m.remove(r, cc).is_some(),
+            };
+            delta.push_row_entry(r, cc, v);
+        }
+    }
+    assert_eq!(image.apply_delta(&delta), m.to_csr());
+    let mut group = c.benchmark_group("publish");
+    group.sample_size(10);
+    group.bench_function("full_rebuild_30pct", |b| b.iter(|| m.to_csr().nnz()));
+    group.bench_function("delta_merge_30pct", |b| {
+        b.iter(|| image.apply_delta(&delta).nnz())
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_dhb, bench_publish);
 criterion_main!(benches);

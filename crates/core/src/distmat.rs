@@ -120,20 +120,70 @@ pub struct MigrationStats {
     pub changed: bool,
 }
 
+/// What the next [`DistMat::snapshot_csr`] call will do — publish-path
+/// diagnostics for tests (see [`DistMat::snapshot_plan`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SnapshotPlan {
+    /// The last image is current: re-share it by refcount increment.
+    Reshare,
+    /// Merge the last image with change logs holding this many entries.
+    Merge(usize),
+    /// Rebuild the image from the DHB block.
+    Rebuild,
+}
+
+/// The last published CSR image of a block and what changed since.
+#[derive(Debug, Clone)]
+struct Published<V> {
+    image: Arc<Csr<V>>,
+    /// One log per batch since `image`, oldest first: the coordinates it
+    /// changed, row-major and column-sorted, with the new value or `None`
+    /// for a removed entry. Empty when nothing changed.
+    logs: Vec<Dcsr<Option<V>>>,
+}
+
+impl<V: Copy> Published<V> {
+    fn current(image: Arc<Csr<V>>) -> Self {
+        Self {
+            image,
+            logs: Vec::new(),
+        }
+    }
+
+    /// Entries recorded since `image` — the quantity the fallback bound
+    /// compares with the image's.
+    fn logged(&self) -> usize {
+        self.logs.iter().map(Dcsr::nnz).sum()
+    }
+}
+
 /// A dynamic distributed matrix: DHB blocks on a 2D grid.
 ///
-/// Alongside the mutable DHB block the matrix keeps a lazily-built, shared
-/// CSR image of the block (`csr_cache`) for the snapshot layer: the cache is
-/// invalidated whenever the block is actually mutated and rebuilt on the
-/// next [`DistMat::snapshot_csr`] call — so publishing an epoch after a
-/// batch converts exactly the blocks the batch touched, and untouched blocks
-/// are re-shared into the new epoch by a refcount increment (block-granular
-/// copy-on-write; see [`crate::snapshot`]).
+/// Alongside the mutable DHB block the matrix keeps the last CSR image of
+/// the block it handed to the snapshot layer, plus one row-major,
+/// column-sorted log per batch of the coordinates it changed since.
+/// Publishing ([`DistMat::snapshot_csr`]) costs what changed, not the block
+/// (entry-granular delta publish; see [`crate::snapshot`]):
+///
+/// * no change: the image is re-shared by refcount increment;
+/// * logged changes: the logs are merged (the later entry wins), then one
+///   linear merge of image and log ([`Csr::apply_delta`]) — no sorting, no
+///   hashing;
+/// * otherwise a full rebuild from the DHB block.
+///
+/// The mutations of `C` (`edit_logged`: Algorithm 1's `C += C*`
+/// and Algorithm 2's repair merge) write the logs. The rebuild is the
+/// fallback, decided from the matrix's own state: no image yet (a matrix
+/// never published records nothing), [`DistMat::block_mut`] was called
+/// (the conservative path the operands use), [`DistMat::migrate_to`]
+/// changed this rank's ranges, or a batch would take the entries recorded
+/// since the image past the image's own count — at that size a rebuild
+/// reads no more, and the logs are dropped.
 #[derive(Debug, Clone)]
 pub struct DistMat<V> {
     info: BlockInfo,
     block: DhbMatrix<V>,
-    csr_cache: Option<Arc<Csr<V>>>,
+    published: Option<Published<V>>,
 }
 
 impl<V: Elem> DistMat<V> {
@@ -150,7 +200,7 @@ impl<V: Elem> DistMat<V> {
         Self {
             info,
             block,
-            csr_cache: None,
+            published: None,
         }
     }
 
@@ -188,9 +238,8 @@ impl<V: Elem> DistMat<V> {
         if local.is_empty() {
             return;
         }
-        self.csr_cache = None;
         timer.time(crate::redistribute::phase::LOCAL_ADDITION, || {
-            crate::update::apply_local_triples_set(&mut self.block, &local, threads);
+            crate::update::apply_local_triples_set(self.block_mut(), &local, threads);
         });
     }
 
@@ -216,15 +265,56 @@ impl<V: Elem> DistMat<V> {
         &self.block
     }
 
-    /// Mutable access to the local block. Conservatively invalidates the
-    /// cached CSR snapshot image: the next [`DistMat::snapshot_csr`] call
-    /// rebuilds it. Callers that can prove a batch leaves the block
-    /// untouched (empty update block) should skip the call instead — that
-    /// is what keeps publishing copy-on-write at block granularity.
+    /// Mutable access to the local block. Conservatively drops the
+    /// published image and its change logs: the next
+    /// [`DistMat::snapshot_csr`] call rebuilds the image. Callers that can
+    /// prove a batch leaves the block untouched (empty update block) should
+    /// skip the call instead. The crate's own updates of `C` log their
+    /// edits (`edit_logged`) and keep the image.
     #[inline]
     pub fn block_mut(&mut self) -> &mut DhbMatrix<V> {
-        self.csr_cache = None;
+        self.published = None;
         &mut self.block
+    }
+
+    /// Mutates the local block once per stored entry of `pattern`, in its
+    /// row-major order: `edit(block, r, c, x)` changes the block at
+    /// `(r, c)` and returns the coordinate's new value (`None`: removed).
+    /// When the matrix holds a published image, the returned values become
+    /// this batch's log, with `pattern`'s structure — sorted for free,
+    /// since the driving blocks are column-sorted `Dcsr`s. Batch logs queue
+    /// until the next publish merges them (the later entry wins), so a
+    /// stream pays no merge before it publishes. A batch that would take
+    /// the entries recorded since the image past the image's own count
+    /// drops image and logs instead: the next publish rebuilds. Local-only.
+    pub(crate) fn edit_logged<X: Copy>(
+        &mut self,
+        pattern: &Dcsr<X>,
+        mut edit: impl FnMut(&mut DhbMatrix<V>, Index, Index, X) -> Option<V>,
+    ) {
+        if pattern.nnz() == 0 {
+            return;
+        }
+        let block = &mut self.block;
+        let logs = match &mut self.published {
+            Some(p) if p.logged() + pattern.nnz() <= p.image.nnz() => &mut p.logs,
+            _ => {
+                self.published = None;
+                for (r, cols, xs) in pattern.iter_rows() {
+                    for (&c, &x) in cols.iter().zip(xs) {
+                        edit(block, r, c, x);
+                    }
+                }
+                return;
+            }
+        };
+        let mut vals = Vec::with_capacity(pattern.nnz());
+        for (r, cols, xs) in pattern.iter_rows() {
+            for (&c, &x) in cols.iter().zip(xs) {
+                vals.push(edit(block, r, c, x));
+            }
+        }
+        logs.push(pattern.with_vals(vals));
     }
 
     /// Local non-zero count.
@@ -276,36 +366,58 @@ impl<V: Elem> DistMat<V> {
     /// moves the same `Arc` (one refcount increment per receiver instead of
     /// a deep clone per round).
     pub fn block_csr_shared(&self) -> Arc<Csr<V>> {
-        match &self.csr_cache {
-            Some(cached) => Arc::clone(cached),
-            None => Arc::new(self.block.to_csr()),
+        match &self.published {
+            Some(p) if p.logs.is_empty() => Arc::clone(&p.image),
+            _ => Arc::new(self.block.to_csr()),
         }
     }
 
-    /// The shared CSR image of the local block for epoch publishing,
-    /// rebuilt only if the block was mutated since the last call — the
-    /// copy-on-write primitive behind [`crate::snapshot`]: publishing an
-    /// epoch whose block is unchanged re-shares the previous epoch's `Arc`
-    /// (a refcount increment, `Arc::ptr_eq` with the prior image).
+    /// The shared CSR image of the local block for epoch publishing — the
+    /// copy-on-write primitive behind [`crate::snapshot`]. An unchanged
+    /// block re-shares the previous image's `Arc` (a refcount increment,
+    /// `Arc::ptr_eq` with the prior image); logged changes merge the
+    /// previous image with the batch logs; anything else rebuilds from the
+    /// block (see [`DistMat`] for the fallback rule). Local-only.
     pub fn snapshot_csr(&mut self) -> Arc<Csr<V>> {
-        if self.csr_cache.is_none() {
-            self.csr_cache = Some(Arc::new(self.block.to_csr()));
-        }
-        Arc::clone(self.csr_cache.as_ref().expect("cache just filled"))
+        let image = match self.published.take() {
+            Some(p) if p.logs.is_empty() => p.image,
+            Some(p) => {
+                let log = p
+                    .logs
+                    .into_iter()
+                    .reduce(|pending, later| Dcsr::merge_with(&pending, &later, |_, v| v))
+                    .expect("logs are non-empty");
+                Arc::new(p.image.apply_delta(&log))
+            }
+            None => Arc::new(self.block.to_csr()),
+        };
+        self.published = Some(Published::current(Arc::clone(&image)));
+        image
     }
 
-    /// Whether the cached CSR snapshot image is valid (i.e. the block was
+    /// Whether the published CSR image is current (i.e. the block was
     /// not mutated since the last [`DistMat::snapshot_csr`]) — COW
     /// diagnostics for tests.
     #[inline]
     pub fn snapshot_cached(&self) -> bool {
-        self.csr_cache.is_some()
+        self.snapshot_plan() == SnapshotPlan::Reshare
+    }
+
+    /// Which path the next [`DistMat::snapshot_csr`] takes, and how many
+    /// entries its logs hold — publish-path diagnostics for tests.
+    pub fn snapshot_plan(&self) -> SnapshotPlan {
+        match &self.published {
+            None => SnapshotPlan::Rebuild,
+            Some(p) if p.logs.is_empty() => SnapshotPlan::Reshare,
+            Some(p) => SnapshotPlan::Merge(p.logged()),
+        }
     }
 
     /// Restores the local block from a previously published snapshot image
     /// — the rollback primitive of epoch-anchored recovery. The dynamic
     /// block is rebuilt from the image's triples and the image `Arc` itself
-    /// becomes the CSR cache, so the first post-rollback publish re-shares
+    /// becomes the published image with an empty change log, so the first
+    /// post-rollback publish re-shares
     /// the anchor's image by refcount increment (no rebuild, bit-identical
     /// to the pinned epoch). Pinned snapshots of rolled-back epochs are
     /// untouched: only the working block is replaced.
@@ -324,7 +436,7 @@ impl<V: Elem> DistMat<V> {
         if !local.is_empty() {
             crate::update::apply_local_triples_set(&mut self.block, &local, threads);
         }
-        self.csr_cache = Some(image);
+        self.published = Some(Published::current(image));
     }
 
     /// Snapshot of the local block as a DCSR.
@@ -379,10 +491,10 @@ impl<V: Elem> DistMat<V> {
     ///
     /// Only entries whose owner *changes* cross the wire — the boundary
     /// stripes between the old and new cuts. A rank whose ranges are
-    /// untouched by the new cuts keeps its block **and its cached CSR
-    /// snapshot image** (the `Arc` survives, so the next epoch publish
-    /// re-shares it by refcount increment exactly as if no migration had
-    /// happened); migrated blocks are rebuilt and their caches dropped.
+    /// untouched by the new cuts keeps its block **and its published image
+    /// and change logs** (block-local coordinates do not move, so the next
+    /// epoch publish re-shares or merges exactly as if no migration had
+    /// happened); migrated blocks are rebuilt and their images dropped.
     pub fn migrate_to(
         &mut self,
         grid: &Grid,
@@ -417,7 +529,7 @@ impl<V: Elem> DistMat<V> {
                 incoming.is_empty(),
                 "a rank with unchanged ranges cannot receive entries"
             );
-            // Only the layout handle changes: block and CSR cache survive.
+            // Only the layout handle changes: block, image and logs survive.
             self.info = new_info;
             return MigrationStats {
                 moved_out,
@@ -426,7 +538,7 @@ impl<V: Elem> DistMat<V> {
             };
         }
         self.info = new_info;
-        self.csr_cache = None;
+        self.published = None;
         self.block = DhbMatrix::new(self.info.local_rows(), self.info.local_cols());
         stay.extend(incoming);
         let local = timer.time(crate::redistribute::phase::LOCAL_CONSTRUCT, || {
@@ -642,6 +754,81 @@ mod tests {
             assert!(same);
             assert!(nnz_eq);
         }
+    }
+
+    /// The log bound counts entries recorded since the image, not distinct
+    /// coordinates: re-touching the same coordinates every batch still
+    /// crosses it. Past the bound the logs are empty and the next publish
+    /// rebuilds.
+    #[test]
+    fn log_bound_drops_the_log_and_rebuilds() {
+        use dspgemm_sparse::semiring::U64Plus;
+        let out = run(1, |comm| {
+            let grid = Grid::new(comm);
+            let mut timer = PhaseTimer::new();
+            let feed: Vec<Triple<u64>> = (0..20)
+                .map(|i| Triple::new(i / 2, (i * 3) % 10, 1))
+                .collect();
+            let mut m = DistMat::from_global_triples(&grid, 10, 10, feed, 1, &mut timer);
+            let add = |b: &mut DhbMatrix<u64>, r, c, v| Some(b.add_entry_value::<U64Plus>(r, c, v));
+            let row9 = Dcsr::from_sorted_triples(
+                10,
+                10,
+                &(0..6).map(|c| Triple::new(9, c, 1u64)).collect::<Vec<_>>(),
+            );
+            // Never published: edits record nothing.
+            m.edit_logged(&row9, add);
+            assert_eq!(m.snapshot_plan(), SnapshotPlan::Rebuild);
+            let image = m.snapshot_csr();
+            assert_eq!(image.nnz(), 25);
+            assert_eq!(m.snapshot_plan(), SnapshotPlan::Reshare);
+            // 6 entries per batch: 6, 12, 18, 24 recorded stay within the
+            // image's 25; the fifth batch (30) would cross.
+            let mut plans = Vec::new();
+            for _ in 0..5 {
+                m.edit_logged(&row9, add);
+                plans.push(m.snapshot_plan());
+            }
+            assert_eq!(
+                plans,
+                vec![
+                    SnapshotPlan::Merge(6),
+                    SnapshotPlan::Merge(12),
+                    SnapshotPlan::Merge(18),
+                    SnapshotPlan::Merge(24),
+                    SnapshotPlan::Rebuild
+                ]
+            );
+            let rebuilt = m.snapshot_csr();
+            assert_eq!(*rebuilt, m.block().to_csr());
+            assert_eq!(m.snapshot_plan(), SnapshotPlan::Reshare);
+            // Logging resumes against the new image: sets, removals and
+            // sums merge exactly.
+            let mixed = Dcsr::from_sorted_triples(
+                10,
+                10,
+                &[
+                    Triple::new(0, 3, 0u64),
+                    Triple::new(1, 6, 1),
+                    Triple::new(9, 9, 2),
+                ],
+            );
+            m.edit_logged(&mixed, |b, r, c, op| match op {
+                0 => {
+                    b.set(r, c, 40);
+                    Some(40)
+                }
+                1 => {
+                    b.remove(r, c);
+                    None
+                }
+                _ => add(b, r, c, op),
+            });
+            assert_eq!(m.snapshot_plan(), SnapshotPlan::Merge(3));
+            assert_eq!(*m.snapshot_csr(), m.block().to_csr());
+            true
+        });
+        assert!(out.results[0]);
     }
 
     #[test]

@@ -320,19 +320,18 @@ fn repair<S: Semiring>(
                 z_lookup.insert(((r as u64) << 32) | cc as u64, v);
             }
         });
-        let c_block = c.block_mut();
         let f_block = f.block_mut();
-        cstar.scan_rows(|r, cols, _| {
-            for &cc in cols {
-                match z_lookup.get(&(((r as u64) << 32) | cc as u64)) {
-                    Some(&(v, bits)) => {
-                        c_block.set(r, cc, v);
-                        f_block.set(r, cc, bits);
-                    }
-                    None => {
-                        c_block.remove(r, cc);
-                        f_block.remove(r, cc);
-                    }
+        c.edit_logged(cstar, |c_block, r, cc, _| {
+            match z_lookup.get(&(((r as u64) << 32) | cc as u64)) {
+                Some(&(v, bits)) => {
+                    c_block.set(r, cc, v);
+                    f_block.set(r, cc, bits);
+                    Some(v)
+                }
+                None => {
+                    c_block.remove(r, cc);
+                    f_block.remove(r, cc);
+                    None
                 }
             }
         });

@@ -133,11 +133,12 @@ impl<S: Semiring> DynSpGemm<S> {
     // ------------------------------------------------------------------
 
     /// Publishes the current `{A, C}` as the next epoch and returns the
-    /// pinned handle. Local-only (no collectives): every rank converts at
-    /// most the blocks the batches since the last publish touched —
-    /// untouched blocks are re-shared copy-on-write from the previous
-    /// epoch. SPMD callers publish in lockstep, so epoch numbers agree on
-    /// every rank.
+    /// pinned handle. Local-only (no collectives): untouched blocks are
+    /// re-shared copy-on-write from the previous epoch, `C`'s block merges
+    /// the entries the batches since the last publish changed into its
+    /// previous image, and only blocks the merge cannot serve are rebuilt
+    /// (see [`DistMat`]). SPMD callers publish in lockstep, so epoch
+    /// numbers agree on every rank.
     ///
     /// # Panics
     /// Panics if a [`DynSpGemm::submit_algebraic`] batch is still in
@@ -156,31 +157,8 @@ impl<S: Semiring> DynSpGemm<S> {
         let snap = self
             .snapshots
             .publish_with(|epoch| Snapshot::new(epoch, a, c));
-        self.record_load(snap.epoch());
+        crate::snapshot::record_load(snap.epoch(), &self.a, &self.c, self.flops);
         snap
-    }
-
-    /// Emits the `epoch_publish` trace instant and refreshes this rank's
-    /// per-block load gauges — local nnz of `A` and `C` plus accumulated
-    /// local flops, the skew signal a rebalancing policy would key on.
-    fn record_load(&self, epoch: u64) {
-        let nnz_a = self.a.block().nnz() as u64;
-        let nnz_c = self.c.block().nnz() as u64;
-        dspgemm_obs::instant(
-            "engine",
-            "epoch_publish",
-            &[
-                ("epoch", epoch),
-                ("nnz_a", nnz_a),
-                ("nnz_c", nnz_c),
-                ("flops", self.flops),
-            ],
-        );
-        let rank = dspgemm_obs::thread_rank();
-        let reg = dspgemm_obs::global();
-        reg.gauge_set(&format!("engine.block_nnz.a.rank{rank}"), nnz_a as f64);
-        reg.gauge_set(&format!("engine.block_nnz.c.rank{rank}"), nnz_c as f64);
-        reg.gauge_set(&format!("engine.block_flops.rank{rank}"), self.flops as f64);
     }
 
     /// Pins the current epoch: returns the latest published snapshot,

@@ -17,16 +17,33 @@
 //!   changes: queries against epoch `e` are bit-identical to the state at
 //!   its publish time no matter how many batches commit concurrently.
 //!
-//! ## Block-granular copy-on-write
+//! ## Entry-granular delta publish
 //!
-//! Publishing does **not** deep-copy the matrices. [`crate::distmat::DistMat`]
-//! caches the CSR image of its local block and invalidates the cache only
-//! when the block is actually mutated, so a publish re-converts exactly the
-//! blocks a batch touched; untouched blocks are re-shared into the new epoch
-//! by a refcount increment ([`Arc::ptr_eq`] across consecutive epochs — the
-//! property the snapshot tests assert). On a 2D grid a batch that routes no
-//! tuples to a rank leaves that rank's operand block shared across epochs.
+//! Publishing does **not** deep-copy the matrices, and it costs what the
+//! batches since the last publish changed, not the size of the blocks.
+//! [`crate::distmat::DistMat`] keeps the last CSR image of its local block
+//! plus, per batch since, a row-major, column-sorted log of the coordinates
+//! it changed (new value or removal), written by the mutations of `C` —
+//! Algorithm 1's `C += C*` and Algorithm 2's repair merge — as they happen:
 //!
+//! * an untouched block is re-shared into the new epoch by a refcount
+//!   increment ([`Arc::ptr_eq`] across consecutive epochs — the property
+//!   the snapshot tests assert). On a 2D grid a batch that routes no tuples
+//!   to a rank leaves that rank's blocks shared across epochs;
+//! * a logged block is published by one linear merge of the previous image
+//!   with the batch logs (merged first, the later entry winning): unlogged
+//!   rows are copied in bulk, logged coordinates take their new value or
+//!   are dropped — no sorting, no hashing;
+//! * anything else is rebuilt from the DHB block. The fallback is decided
+//!   from the matrix's own state: no image yet, a direct `block_mut()`
+//!   edit (the operands `A` and `B` are updated this way), a migration that
+//!   changed the rank's ranges, or logs grown past the image's size — at
+//!   that size a rebuild reads no more, and the bound also keeps a stream
+//!   that publishes rarely from carrying logs.
+//!
+//! Either way the published block is bit-identical to a fresh conversion of
+//! the live block.
+
 //! ## Retention
 //!
 //! [`SnapshotStore`] keeps one strong handle (the latest epoch) plus weak
@@ -35,18 +52,43 @@
 //! unshared blocks are freed immediately. [`SnapshotStore::retained`] and
 //! [`Snapshot::heap_bytes`] feed the memory-bound regression test.
 
-use crate::distmat::{BlockInfo, Elem};
+use crate::distmat::{BlockInfo, DistMat, Elem};
 use crate::grid::Grid;
 use dspgemm_mpi::Comm;
 use dspgemm_sparse::{Csr, Index, Triple};
 use std::sync::{Arc, Weak};
+
+/// Emits the `epoch_publish` trace instant and refreshes this rank's
+/// per-block load gauges — local nnz of `A` and `C` plus accumulated local
+/// flops, the skew signal a rebalancing policy would key on. Called by
+/// every publisher (the engine and the analytics session) after an epoch
+/// is published.
+pub fn record_load<V: Elem>(epoch: u64, a: &DistMat<V>, c: &DistMat<V>, flops: u64) {
+    let nnz_a = a.local_nnz() as u64;
+    let nnz_c = c.local_nnz() as u64;
+    dspgemm_obs::instant(
+        "engine",
+        "epoch_publish",
+        &[
+            ("epoch", epoch),
+            ("nnz_a", nnz_a),
+            ("nnz_c", nnz_c),
+            ("flops", flops),
+        ],
+    );
+    let rank = dspgemm_obs::thread_rank();
+    let reg = dspgemm_obs::global();
+    reg.gauge_set(&format!("engine.block_nnz.a.rank{rank}"), nnz_a as f64);
+    reg.gauge_set(&format!("engine.block_nnz.c.rank{rank}"), nnz_c as f64);
+    reg.gauge_set(&format!("engine.block_flops.rank{rank}"), flops as f64);
+}
 
 /// One rank's immutable block of a published distributed matrix.
 ///
 /// The block is a column-sorted CSR behind an `Arc`: cloning a
 /// `SnapshotMat` (or the [`Snapshot`] holding it) is a refcount increment,
 /// never a copy of the data. All read methods mirror the live
-/// [`DistMat`](crate::distmat::DistMat) query surface so callers can move
+/// [`DistMat`] query surface so callers can move
 /// from live reads to pinned reads without changing result types.
 #[derive(Debug, Clone)]
 pub struct SnapshotMat<V> {

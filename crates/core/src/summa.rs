@@ -30,7 +30,7 @@ use crate::pipeline::{await_into_phase, run_rounds, Schedule};
 use dspgemm_mpi::Request;
 use dspgemm_sparse::local_mm::{spgemm_bloom_with, spgemm_with, MmOutput};
 use dspgemm_sparse::semiring::Semiring;
-use dspgemm_sparse::{Csr, Dcsr, RowScan};
+use dspgemm_sparse::{Csr, Dcsr};
 use dspgemm_util::stats::PhaseTimer;
 use std::sync::Arc;
 
@@ -120,10 +120,12 @@ fn complete_panels<V: Send + Sync + dspgemm_util::WireSize + dspgemm_util::WireD
 
 /// Accumulates one partial-product block into `C` with the semiring
 /// addition and, when `f` is given, ORs each entry's Bloom bits into `F`.
-/// `split` separates a payload into `(value, bits)`. A block empty on this
-/// rank leaves `C` and `F` — and their cached snapshot images — untouched,
-/// so the next published epoch re-shares them copy-on-write. Local-only;
-/// every SpGEMM path that adds into `C` goes through here.
+/// `split` separates a payload into `(value, bits)`. Each sum is logged for
+/// `C`'s next delta publish while its DHB slot is still in cache
+/// (`DistMat::edit_logged`; `part` is column-sorted, so the log is too).
+/// A block empty on this rank leaves `C` and `F` — and their published
+/// images — untouched, so the next epoch re-shares them copy-on-write.
+/// Local-only; every SpGEMM path that adds into `C` goes through here.
 pub(crate) fn accumulate<S: Semiring, V: Copy>(
     part: &Dcsr<V>,
     c: &mut DistMat<S::Elem>,
@@ -133,22 +135,17 @@ pub(crate) fn accumulate<S: Semiring, V: Copy>(
     if part.nnz() == 0 {
         return;
     }
-    let c_block = c.block_mut();
     match f {
         Some(f) => {
             let f_block = f.block_mut();
-            part.scan_rows(|r, cols, vals| {
-                for (&cc, &v) in cols.iter().zip(vals) {
-                    let (v, bits) = split(v);
-                    c_block.add_entry::<S>(r, cc, v);
-                    f_block.combine_entry(r, cc, bits, |x, y| x | y);
-                }
+            c.edit_logged(part, |c_block, r, cc, v| {
+                let (v, bits) = split(v);
+                f_block.combine_entry(r, cc, bits, |x, y| x | y);
+                Some(c_block.add_entry_value::<S>(r, cc, v))
             });
         }
-        None => part.scan_rows(|r, cols, vals| {
-            for (&cc, &v) in cols.iter().zip(vals) {
-                c_block.add_entry::<S>(r, cc, split(v).0);
-            }
+        None => c.edit_logged(part, |c_block, r, cc, v| {
+            Some(c_block.add_entry_value::<S>(r, cc, split(v).0))
         }),
     }
 }

@@ -1,5 +1,6 @@
 //! Compressed sparse row storage for static matrices.
 
+use crate::dcsr::Dcsr;
 use crate::semiring::Semiring;
 use crate::triple::{self, Triple};
 use crate::workspace::TransposeWorkspace;
@@ -76,6 +77,111 @@ impl<V: Copy> Csr<V> {
             cols,
             vals,
         }
+    }
+
+    /// Builds a matrix directly from its storage arrays, taking ownership
+    /// without copying: `row_ptr` has `nrows + 1` monotone offsets ending
+    /// at `cols.len()`; `cols` and `vals` are parallel. Invariants are
+    /// debug-asserted ([`Csr::validate`]).
+    pub fn from_parts(
+        nrows: Index,
+        ncols: Index,
+        row_ptr: Vec<usize>,
+        cols: Vec<Index>,
+        vals: Vec<V>,
+    ) -> Self {
+        let m = Self {
+            nrows,
+            ncols,
+            row_ptr,
+            cols,
+            vals,
+        };
+        debug_assert_eq!(m.validate(), Ok(()));
+        m
+    }
+
+    /// This matrix with a change log applied: every coordinate in `delta`
+    /// takes its logged value (`Some`, inserted if absent) or is dropped
+    /// (`None`; a coordinate absent here is ignored). Both operands must be
+    /// column-sorted within rows; the result is too.
+    ///
+    /// One linear pass: runs of rows without log entries are copied in
+    /// bulk, each logged row is a two-pointer merge. No sorting, no
+    /// hashing — `O(nnz + nnz(delta))`.
+    pub fn apply_delta(&self, delta: &Dcsr<Option<V>>) -> Csr<V> {
+        assert_eq!(
+            (self.nrows, self.ncols),
+            (delta.nrows(), delta.ncols()),
+            "delta shape mismatch"
+        );
+        let bound = self.nnz() + delta.nnz();
+        let mut row_ptr = Vec::with_capacity(self.row_ptr.len());
+        row_ptr.push(0);
+        let mut cols = Vec::with_capacity(bound);
+        let mut vals = Vec::with_capacity(bound);
+        let mut next = 0usize;
+        for (r, dcols, dvals) in delta.iter_rows() {
+            let r = r as usize;
+            self.copy_rows(next..r, &mut row_ptr, &mut cols, &mut vals);
+            let (icols, ivals) = self.row(r as Index);
+            let (mut i, mut j) = (0, 0);
+            while i < icols.len() && j < dcols.len() {
+                if icols[i] < dcols[j] {
+                    cols.push(icols[i]);
+                    vals.push(ivals[i]);
+                    i += 1;
+                    continue;
+                }
+                if icols[i] == dcols[j] {
+                    i += 1;
+                }
+                if let Some(v) = dvals[j] {
+                    cols.push(dcols[j]);
+                    vals.push(v);
+                }
+                j += 1;
+            }
+            cols.extend_from_slice(&icols[i..]);
+            vals.extend_from_slice(&ivals[i..]);
+            for (&c, v) in dcols[j..].iter().zip(&dvals[j..]) {
+                if let Some(v) = *v {
+                    cols.push(c);
+                    vals.push(v);
+                }
+            }
+            row_ptr.push(cols.len());
+            next = r + 1;
+        }
+        self.copy_rows(
+            next..self.nrows as usize,
+            &mut row_ptr,
+            &mut cols,
+            &mut vals,
+        );
+        cols.shrink_to_fit();
+        vals.shrink_to_fit();
+        Self::from_parts(self.nrows, self.ncols, row_ptr, cols, vals)
+    }
+
+    /// Appends rows `rows` unchanged: one copy per array, row pointers
+    /// shifted to the output offset.
+    fn copy_rows(
+        &self,
+        rows: std::ops::Range<usize>,
+        row_ptr: &mut Vec<usize>,
+        cols: &mut Vec<Index>,
+        vals: &mut Vec<V>,
+    ) {
+        let (lo, hi) = (self.row_ptr[rows.start], self.row_ptr[rows.end]);
+        let base = cols.len();
+        cols.extend_from_slice(&self.cols[lo..hi]);
+        vals.extend_from_slice(&self.vals[lo..hi]);
+        row_ptr.extend(
+            self.row_ptr[rows.start + 1..=rows.end]
+                .iter()
+                .map(|&p| p - lo + base),
+        );
     }
 
     /// Number of rows.
@@ -465,5 +571,50 @@ mod tests {
         let m = sample();
         // 16 header + 8*4 row_ptr + 4*5 cols + 8*5 vals.
         assert_eq!(m.wire_bytes(), 16 + 32 + 20 + 40);
+    }
+
+    /// `apply_delta` against a map model: sets of present and absent
+    /// coordinates, removals of present and absent ones, empty rows at
+    /// both ends and in the middle.
+    #[test]
+    fn apply_delta_matches_model() {
+        use dspgemm_util::rng::{Rng, SplitMix64};
+        use std::collections::BTreeMap;
+        let (n, m) = (40 as Index, 30 as Index);
+        let mut rng = SplitMix64::new(5);
+        for round in 0..20 {
+            let mut model: BTreeMap<(Index, Index), u64> = BTreeMap::new();
+            for _ in 0..rng.gen_range(300) {
+                let r = 1 + rng.gen_range(n as u64 - 2) as Index;
+                model.insert((r, rng.gen_range(m as u64) as Index), rng.next_u64());
+            }
+            let base: Vec<Triple<u64>> = model.iter().map(|(&(r, c), &v)| t(r, c, v)).collect();
+            let image = Csr::from_sorted_triples(n, m, &base);
+            let mut changes: BTreeMap<(Index, Index), Option<u64>> = BTreeMap::new();
+            for _ in 0..rng.gen_range(120) {
+                let key = (
+                    rng.gen_range(n as u64) as Index,
+                    rng.gen_range(m as u64) as Index,
+                );
+                let v = (rng.gen_range(3) > 0).then(|| rng.next_u64());
+                changes.insert(key, v);
+            }
+            let mut delta = Dcsr::empty(n, m);
+            for (&(r, c), &v) in &changes {
+                delta.push_row_entry(r, c, v);
+                match v {
+                    Some(v) => model.insert((r, c), v),
+                    None => model.remove(&(r, c)),
+                };
+            }
+            let expect: Vec<Triple<u64>> = model.iter().map(|(&(r, c), &v)| t(r, c, v)).collect();
+            let got = image.apply_delta(&delta);
+            got.validate().unwrap();
+            assert_eq!(
+                got,
+                Csr::from_sorted_triples(n, m, &expect),
+                "round {round}"
+            );
+        }
     }
 }

@@ -225,13 +225,23 @@ impl<V: Copy> Dcsr<V> {
 
     /// Maps the values (keeping the pattern).
     pub fn map<W: Copy>(&self, mut f: impl FnMut(V) -> W) -> Dcsr<W> {
+        self.with_vals(self.vals.iter().map(|&v| f(v)).collect())
+    }
+
+    /// This pattern with new values, `vals` parallel to the stored entries
+    /// in row-major order.
+    ///
+    /// # Panics
+    /// Panics if `vals` does not hold one value per stored entry.
+    pub fn with_vals<W: Copy>(&self, vals: Vec<W>) -> Dcsr<W> {
+        assert_eq!(vals.len(), self.nnz(), "one value per stored entry");
         Dcsr {
             nrows: self.nrows,
             ncols: self.ncols,
             rows: self.rows.clone(),
             row_ptr: self.row_ptr.clone(),
             cols: self.cols.clone(),
-            vals: self.vals.iter().map(|&v| f(v)).collect(),
+            vals,
         }
     }
 

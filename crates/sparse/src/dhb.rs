@@ -246,15 +246,41 @@ impl<V: Copy> DhbRow<V> {
     /// Combines `val` into `col` with `combine(old, new)`, inserting `val`
     /// if absent (matrix-addition semantics). Returns `true` if new.
     pub fn combine(&mut self, col: Index, val: V, combine: impl FnOnce(V, V) -> V) -> bool {
+        self.upsert(col, val, combine).1
+    }
+
+    /// [`DhbRow::combine`] that also returns the value now stored at `col`.
+    fn upsert(&mut self, col: Index, val: V, combine: impl FnOnce(V, V) -> V) -> (V, bool) {
         match self.find(col) {
             Some(i) => {
                 self.vals[i] = combine(self.vals[i], val);
-                false
+                (self.vals[i], false)
             }
             None => {
                 self.push_new(col, val);
-                true
+                (val, true)
             }
+        }
+    }
+
+    /// Appends the row's entries to `cols`/`vals` in ascending column
+    /// order. A row already in order is copied as is; otherwise it is
+    /// co-sorted through `scratch`, which callers reuse across rows.
+    fn extend_sorted(
+        &self,
+        cols: &mut Vec<Index>,
+        vals: &mut Vec<V>,
+        scratch: &mut Vec<(Index, V)>,
+    ) {
+        if self.cols.is_sorted() {
+            cols.extend_from_slice(&self.cols);
+            vals.extend_from_slice(&self.vals);
+        } else {
+            scratch.clear();
+            scratch.extend(self.cols.iter().copied().zip(self.vals.iter().copied()));
+            scratch.sort_unstable_by_key(|&(c, _)| c);
+            cols.extend(scratch.iter().map(|&(c, _)| c));
+            vals.extend(scratch.iter().map(|&(_, v)| v));
         }
     }
 
@@ -383,6 +409,16 @@ impl<V: Copy> DhbMatrix<V> {
         new
     }
 
+    /// [`DhbMatrix::add_entry`] that returns the value now stored at
+    /// `(r, c)` — read while the slot is still in cache, for callers that
+    /// log what they changed.
+    pub fn add_entry_value<S: Semiring<Elem = V>>(&mut self, r: Index, c: Index, val: V) -> V {
+        debug_assert!(r < self.nrows && c < self.ncols, "index out of range");
+        let (stored, new) = self.rows[r as usize].upsert(c, val, S::add);
+        self.nnz += usize::from(new);
+        stored
+    }
+
     /// Combines `val` into `(r, c)` with an arbitrary operator, inserting if
     /// absent (e.g. bitwise-OR for Bloom filter matrices). Returns `true`
     /// if new.
@@ -442,19 +478,45 @@ impl<V: Copy> DhbMatrix<V> {
             for (&c, &v) in cols.iter().zip(vals) {
                 out.push(Triple::new(r as Index, c, v));
             }
-            out[start..].sort_unstable_by_key(|t| t.col);
+            if !cols.is_sorted() {
+                out[start..].sort_unstable_by_key(|t| t.col);
+            }
         }
         out
     }
 
-    /// Converts to CSR (column-sorted rows).
+    /// Converts to CSR (column-sorted rows). Row lengths give the row
+    /// pointers and each row is copied straight into place, co-sorted only
+    /// if out of order: no whole-block staging.
     pub fn to_csr(&self) -> crate::csr::Csr<V> {
-        crate::csr::Csr::from_sorted_triples(self.nrows, self.ncols, &self.to_sorted_triples())
+        let mut row_ptr = Vec::with_capacity(self.rows.len() + 1);
+        row_ptr.push(0);
+        let mut cols = Vec::with_capacity(self.nnz);
+        let mut vals = Vec::with_capacity(self.nnz);
+        let mut scratch = Vec::new();
+        for row in &self.rows {
+            row.extend_sorted(&mut cols, &mut vals, &mut scratch);
+            row_ptr.push(cols.len());
+        }
+        crate::csr::Csr::from_parts(self.nrows, self.ncols, row_ptr, cols, vals)
     }
 
-    /// Converts to DCSR (column-sorted rows).
+    /// Converts to DCSR (column-sorted rows), filled like
+    /// [`DhbMatrix::to_csr`].
     pub fn to_dcsr(&self) -> crate::dcsr::Dcsr<V> {
-        crate::dcsr::Dcsr::from_sorted_triples(self.nrows, self.ncols, &self.to_sorted_triples())
+        let mut rows = Vec::new();
+        let mut row_ptr = vec![0];
+        let mut cols = Vec::with_capacity(self.nnz);
+        let mut vals = Vec::with_capacity(self.nnz);
+        let mut scratch = Vec::new();
+        for (r, row) in self.rows.iter().enumerate() {
+            if !row.is_empty() {
+                rows.push(r as Index);
+                row.extend_sorted(&mut cols, &mut vals, &mut scratch);
+                row_ptr.push(cols.len());
+            }
+        }
+        crate::dcsr::Dcsr::from_parts(self.nrows, self.ncols, rows, row_ptr, cols, vals)
     }
 
     /// Approximate heap bytes (adjacency arrays + hash indices).
@@ -660,6 +722,34 @@ mod tests {
         );
         assert_eq!(m.to_csr().nnz(), 3);
         m.to_dcsr().validate().unwrap();
+    }
+
+    /// The direct-fill conversions equal the sorted-triple construction
+    /// for light rows, heavy (indexed) rows, rows left unsorted by removals
+    /// and empty rows.
+    #[test]
+    fn direct_conversions_match_sorted_triples() {
+        let mut rng = SplitMix64::new(31);
+        let mut m: DhbMatrix<u64> = DhbMatrix::new(50, 400);
+        for r in 0..50 {
+            let degree = [0, 3, 12, 200][r as usize % 4];
+            for _ in 0..degree {
+                m.set(r, rng.gen_range(400) as Index, rng.next_u64());
+            }
+        }
+        for _ in 0..300 {
+            m.remove(rng.gen_range(50) as Index, rng.gen_range(400) as Index);
+        }
+        let triples = m.to_sorted_triples();
+        assert!(crate::triple::is_sorted_dedup(&triples));
+        assert_eq!(
+            m.to_csr(),
+            crate::csr::Csr::from_sorted_triples(50, 400, &triples)
+        );
+        assert_eq!(
+            m.to_dcsr(),
+            crate::dcsr::Dcsr::from_sorted_triples(50, 400, &triples)
+        );
     }
 
     #[test]

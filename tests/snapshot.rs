@@ -7,22 +7,29 @@
 //!   `U64Plus` and `MinPlus`, through algebraic and general batches;
 //! * queries after a batch see epoch `e + 1` **exactly**, bit-identical to
 //!   a blocking rerun (a from-scratch recomputation of the updated graph);
-//! * publishing is block-granular copy-on-write: an epoch re-shares
-//!   (`Arc::ptr_eq`) every block the batch did not touch;
+//! * publishing is copy-on-write: an epoch re-shares (`Arc::ptr_eq`) every
+//!   block the batch did not touch;
+//! * a delta publish (previous image merged with the change log) is
+//!   bit-identical to a fresh conversion of the live block, through
+//!   algebraic and general batches, the log bound, direct block edits,
+//!   migrations and recovery rollbacks;
 //! * retained-epoch memory is bounded by the outstanding pins: with no
 //!   pins, exactly one epoch stays alive no matter how many were published.
 
 use dspgemm::analytics::{AnalyticsSession, TriangleCountView, TriangleReading};
+use dspgemm::core::distmat::SnapshotPlan;
 use dspgemm::core::dyn_general::GeneralUpdates;
 use dspgemm::core::engine::DynSpGemm;
 use dspgemm::core::grid::Grid;
+use dspgemm::core::recovery::RecoveryConfig;
 use dspgemm::core::DistMat;
-use dspgemm::core::Exec;
-use dspgemm::mpi::run;
+use dspgemm::core::{Exec, RebalanceConfig};
+use dspgemm::mpi::{run, CommError};
 use dspgemm::sparse::semiring::{MinPlus, Semiring, U64Plus};
 use dspgemm::sparse::{Index, Triple};
 use dspgemm::util::rng::{Rng, SplitMix64};
 use dspgemm::util::stats::PhaseTimer;
+use dspgemm::util::wire::encode_to_vec;
 use std::sync::Arc;
 
 fn random_triples<S: Semiring>(
@@ -349,4 +356,282 @@ fn retention_bounded_by_pins() {
         true
     });
     assert!(out.results.iter().all(|&x| x));
+}
+
+/// A published `C` block must equal a fresh conversion of the live block,
+/// compared on the wire encoding (bit for bit, `f64` signs included).
+fn published_exact<V: dspgemm::core::distmat::Elem>(
+    published: &dspgemm::core::SnapshotMat<V>,
+    live: &DistMat<V>,
+) -> bool {
+    encode_to_vec(published.block()) == encode_to_vec(&live.block().to_csr())
+}
+
+/// Rank-uniform draw of how many batches run before the next publish (1–5).
+fn batches_before_publish(rng: &mut SplitMix64) -> u64 {
+    rng.gen_range(5) + 1
+}
+
+/// Algebraic `(+,·)` batches with 1–5 batches between publishes: every
+/// published `C` block equals `block().to_csr()`. Then a stream of
+/// unpublished batches crosses the log bound (the log is dropped and the
+/// publish rebuilds), and a direct `block_mut()` edit forces a rebuild.
+#[test]
+fn delta_publish_bit_identical_algebraic() {
+    let n: Index = 24;
+    for p in [1usize, 4] {
+        let out = run(p, move |comm| {
+            let grid = Grid::new(comm);
+            let mut timer = PhaseTimer::new();
+            let feed = |s: u64| {
+                if comm.rank() == 0 {
+                    random_triples::<U64Plus>(s, n, 60, |v| v)
+                } else {
+                    vec![]
+                }
+            };
+            let a = DistMat::from_global_triples(&grid, n, n, feed(1), 1, &mut timer);
+            let b = DistMat::from_global_triples(&grid, n, n, feed(2), 1, &mut timer);
+            let mut eng = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, p == 4);
+            let mut shared = SplitMix64::new(99);
+            let mut seed = 1000 + 100 * comm.rank() as u64;
+            let mut batch = |eng: &mut DynSpGemm<U64Plus>| {
+                seed += 1;
+                eng.apply_algebraic(
+                    &grid,
+                    random_triples::<U64Plus>(seed, n, 6, |v| v),
+                    random_triples::<U64Plus>(seed + 50, n, 6, |v| v),
+                );
+            };
+            let mut merged = false;
+            for _ in 0..8 {
+                for _ in 0..batches_before_publish(&mut shared) {
+                    batch(&mut eng);
+                }
+                merged |= matches!(eng.c.snapshot_plan(), SnapshotPlan::Merge(_));
+                let snap = eng.publish();
+                assert!(published_exact(snap.c(), &eng.c), "p={p}: merged publish");
+            }
+            // A long unpublished stream crosses the bound: the log is
+            // dropped and the next publish rebuilds.
+            let mut crossed = false;
+            for _ in 0..20 {
+                let before = eng.c.snapshot_plan();
+                batch(&mut eng);
+                crossed |= matches!(before, SnapshotPlan::Merge(_))
+                    && eng.c.snapshot_plan() == SnapshotPlan::Rebuild;
+            }
+            let snap = eng.publish();
+            assert!(published_exact(snap.c(), &eng.c), "p={p}: after the bound");
+            // A logged batch, then a direct edit: the conservative path.
+            batch(&mut eng);
+            let v = eng.c.block().get(0, 0).unwrap_or(0) + 7;
+            eng.c.block_mut().set(0, 0, v);
+            assert_eq!(eng.c.snapshot_plan(), SnapshotPlan::Rebuild);
+            let snap = eng.publish();
+            assert!(published_exact(snap.c(), &eng.c), "p={p}: after block_mut");
+            (merged, crossed)
+        });
+        assert!(
+            out.results.iter().any(|&(merged, _)| merged),
+            "p={p}: no publish took the merge path"
+        );
+        assert!(
+            out.results.iter().any(|&(_, crossed)| crossed),
+            "p={p}: no rank's log crossed the bound"
+        );
+    }
+}
+
+/// General `(min,+)` batches — removals and re-weights of `A` repaired by
+/// Algorithm 2 — with 1–5 batches between publishes: the repair merge's
+/// `set`/`remove` log reproduces `block().to_csr()` exactly.
+#[test]
+fn delta_publish_bit_identical_general_minplus() {
+    let n: Index = 24;
+    for p in [1usize, 4] {
+        let out = run(p, move |comm| {
+            let grid = Grid::new(comm);
+            let mut timer = PhaseTimer::new();
+            let feed = |s: u64| {
+                if comm.rank() == 0 {
+                    random_triples::<MinPlus>(s, n, 90, |v| v as f64)
+                } else {
+                    vec![]
+                }
+            };
+            let a = DistMat::from_global_triples(&grid, n, n, feed(3), 1, &mut timer);
+            let b = DistMat::from_global_triples(&grid, n, n, feed(4), 1, &mut timer);
+            let mut eng = DynSpGemm::<MinPlus>::new(&grid, a, b, 1, true);
+            let mut shared = SplitMix64::new(7);
+            let mut rng = SplitMix64::new(500 + comm.rank() as u64);
+            let mut merged = false;
+            for _ in 0..6 {
+                for _ in 0..batches_before_publish(&mut shared) {
+                    let mut upd = GeneralUpdates::new();
+                    for t in eng.a.to_global_triples() {
+                        match rng.gen_range(6) {
+                            0 => upd.deletes.push((t.row, t.col)),
+                            1 => upd.sets.push(Triple::new(
+                                t.row,
+                                t.col,
+                                (rng.gen_range(9) + 1) as f64,
+                            )),
+                            _ => {}
+                        }
+                    }
+                    eng.apply_general(&grid, upd, GeneralUpdates::new());
+                }
+                merged |= matches!(eng.c.snapshot_plan(), SnapshotPlan::Merge(_));
+                let snap = eng.publish();
+                assert!(published_exact(snap.c(), &eng.c), "p={p}");
+            }
+            merged
+        });
+        assert!(
+            out.results.iter().any(|&m| m),
+            "p={p}: no publish took the merge path"
+        );
+    }
+}
+
+/// Migrations through `maybe_rebalance` drop the image of every rank whose
+/// ranges moved; publishes before and after stay exact.
+#[test]
+fn delta_publish_bit_identical_across_migration() {
+    let n: Index = 36;
+    let out = run(4, move |comm| {
+        let grid = Grid::new(comm);
+        let mut timer = PhaseTimer::new();
+        let mine: Vec<Triple<u64>> = if comm.rank() == 0 {
+            (0..n).map(|i| Triple::new(i, (i + 1) % n, 1u64)).collect()
+        } else {
+            vec![]
+        };
+        let a = DistMat::from_global_triples(&grid, n, n, mine.clone(), 1, &mut timer);
+        let b = DistMat::from_global_triples(&grid, n, n, mine, 1, &mut timer);
+        let mut eng = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, false);
+        eng.enable_rebalancing(RebalanceConfig {
+            threshold: 1.05,
+            cooldown: 0,
+        });
+        // Corner-concentrated batches: the load piles onto one rank until
+        // the cuts move.
+        let hot = (n / 6) as u64;
+        let mut rng = SplitMix64::new(0xBEEF ^ comm.rank() as u64);
+        for _ in 0..5 {
+            let batch: Vec<Triple<u64>> = (0..40)
+                .map(|_| Triple::new(rng.gen_range(hot) as Index, rng.gen_range(hot) as Index, 1))
+                .collect();
+            eng.apply_algebraic(&grid, batch.clone(), batch);
+            eng.maybe_rebalance(&grid);
+            let snap = eng.publish();
+            assert!(published_exact(snap.c(), &eng.c));
+        }
+        eng.rebalancer().expect("enabled").migrations()
+    });
+    assert!(out.results[0] >= 1, "the skewed stream must migrate");
+}
+
+/// A rank crashes mid-batch; survivors roll back to their anchor images
+/// (`restore_image`: image installed with an empty log) and the crashed
+/// rank rebuilds from its buddy's replica. Every publish before and after
+/// the rollback stays exact.
+#[test]
+fn delta_publish_bit_identical_through_recovery() {
+    let n: Index = 20;
+    let out = run(4, move |comm| {
+        let grid = Grid::new(comm);
+        let me = comm.rank();
+        let mut timer = PhaseTimer::new();
+        let feed = |s: u64| {
+            if me == 0 {
+                random_triples::<U64Plus>(s, n, 60, |v| v)
+            } else {
+                vec![]
+            }
+        };
+        let a = DistMat::from_global_triples(&grid, n, n, feed(1), 1, &mut timer);
+        let b = DistMat::from_global_triples(&grid, n, n, feed(2), 1, &mut timer);
+        let cfg = RecoveryConfig::default();
+        let mut eng = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, false);
+        eng.enable_recovery(&grid, cfg);
+        let mut batch = 0u64;
+        let mut armed = false;
+        let mut recovered = false;
+        while batch < 6 {
+            if me == 1 && batch == 3 && !armed {
+                comm.arm_crash(1);
+                armed = true;
+            }
+            let s = 3000 + batch * 97 + me as u64;
+            let (a_ups, b_ups) = (
+                random_triples::<U64Plus>(s, n, 5, |v| v),
+                random_triples::<U64Plus>(s + 7, n, 5, |v| v),
+            );
+            match eng.try_apply_algebraic(&grid, a_ups, b_ups) {
+                Ok(()) => {
+                    let snap = eng.publish();
+                    assert!(published_exact(snap.c(), &eng.c), "batch {batch}");
+                    batch += 1;
+                }
+                Err(CommError::PeerFailed { .. }) => {
+                    batch = eng.recover(&grid).committed_publishes - 1;
+                    recovered = true;
+                }
+                Err(CommError::Crashed { .. }) => {
+                    let (e2, report) =
+                        DynSpGemm::<U64Plus>::recover_as_replacement(&grid, Exec::new(1), cfg);
+                    eng = e2;
+                    batch = report.committed_publishes - 1;
+                    recovered = true;
+                }
+                Err(other) => panic!("unexpected comm error: {other}"),
+            }
+        }
+        recovered
+    });
+    assert!(out.results.iter().all(|&r| r), "every rank must recover");
+}
+
+/// Analytics sessions publish per commit through the same path: the
+/// shared-operand `C += C*` and the general repair both log, and each
+/// pinned product block equals the live block's fresh conversion.
+#[test]
+fn delta_publish_bit_identical_session() {
+    let n: Index = 20;
+    for p in [1usize, 4] {
+        let out = run(p, move |comm| {
+            let feed = if comm.rank() == 0 {
+                random_triples::<U64Plus>(11, n, 80, |_| 1)
+            } else {
+                vec![]
+            };
+            let mut session = AnalyticsSession::<U64Plus>::from_triples(comm, n, 1, feed);
+            let mut rng = SplitMix64::new(21 + comm.rank() as u64);
+            for round in 0..6 {
+                if round % 2 == 0 {
+                    session.insert_edges(random_triples::<U64Plus>(
+                        40 + round + 10 * comm.rank() as u64,
+                        n,
+                        4,
+                        |_| 1,
+                    ));
+                } else {
+                    let dels = (0..3)
+                        .map(|_| {
+                            (
+                                rng.gen_range(n as u64) as Index,
+                                rng.gen_range(n as u64) as Index,
+                            )
+                        })
+                        .collect();
+                    session.delete_edges(dels);
+                }
+                assert!(published_exact(session.pin().product(), session.product()));
+            }
+            true
+        });
+        assert!(out.results.iter().all(|&x| x), "p={p}");
+    }
 }
